@@ -254,7 +254,12 @@ def _cmd_identities(args) -> dict[str, Any]:
 
 def build_parser() -> argparse.ArgumentParser:
     env_max = os.environ.get("NCDEF_MAX_DEGREE")
-    default_max = int(env_max) if env_max else DEFAULT_MAX_DEGREE
+    try:
+        default_max = int(env_max) if env_max else DEFAULT_MAX_DEGREE
+    except ValueError:
+        raise ValueError(
+            f"NCDEF_MAX_DEGREE must be an integer, got {env_max!r}"
+        ) from None
 
     top = argparse.ArgumentParser(prog="ncdef", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
@@ -289,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     bu = sub.add_parser("bundle", help="splitting-type arithmetic")
     bu.add_argument("--degrees", default=None)
     bu.add_argument("--length", type=int, default=None, choices=range(2, 7))
-    bu.add_argument("--counts", action="store_true")
     common(bu)
 
     idn = sub.add_parser("identities", help="scalar polynomial identities")
@@ -321,11 +325,13 @@ _DISPATCH = {
 
 
 def run_command(argv: list[str]) -> tuple[int, Optional[dict[str, Any]]]:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return (0 if exc.code == 0 else 2), None
+    except ValueError as exc:  # malformed NCDEF_MAX_DEGREE
+        print(f"ncdef: error: {exc}", file=sys.stderr)
+        return 2, None
     t0 = time.monotonic()
     try:
         doc = _DISPATCH[args.subcommand](args)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -171,9 +171,6 @@ class CommPoly:
             base = base * base if n > 1 else base
             n >>= 1
         return out
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def lead(self, order: GrlexOrder) -> tuple[Exponents, Fraction]:
         if not self.terms:
@@ -414,6 +411,14 @@ def monomials_of_degree(vars: VarSet, deg: int) -> list[Exponents]:
     return [e for e in rec(0, deg)]
 
 
+def graded_dims(degrees: Iterable[int]) -> list[int]:
+    """Tally of basis elements by degree, from degree 0 to the largest one."""
+    graded: dict[int, int] = {}
+    for d in degrees:
+        graded[d] = graded.get(d, 0) + 1
+    return [graded.get(d, 0) for d in range(max(graded, default=0) + 1)]
+
+
 @dataclass
 class LocalReport:
     """Truncation-stabilized quotient data for an ideal plus all degree-N
@@ -440,17 +445,11 @@ def local_report(
         gb = groebner(list(gens) + cut, order)
         qb = quotient_basis(gb, N)
         if prev is not None and prev.dim == qb.dim:
-            graded: dict[int, int] = {}
-            for e in prev.monomials:
-                graded[sum(e)] = graded.get(sum(e), 0) + 1
-            gd = [graded.get(d, 0) for d in range(max(graded, default=0) + 1)]
+            gd = graded_dims(sum(e) for e in prev.monomials)
             return LocalReport("finite", prev.dim, N - 1, gd, prev.monomials, prev_gb)
         prev, prev_gb = qb, gb
-    graded = {}
-    for e in (prev.monomials if prev else []):
-        graded[sum(e)] = graded.get(sum(e), 0) + 1
-    gd = [graded.get(d, 0) for d in range(max(graded, default=0) + 1)]
+    monomials = prev.monomials if prev else []
     return LocalReport(
-        "not-finite", prev.dim if prev else 0, None, gd,
-        prev.monomials if prev else [], prev_gb,
+        "not-finite", prev.dim if prev else 0, None,
+        graded_dims(sum(e) for e in monomials), monomials, prev_gb,
     )

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freealg import GenSet, NcPoly, genset, word_str
+from .freealg import GenSet, NcPoly, genset, nc_str
 from .ncgb import Presentation
 
 
@@ -209,28 +209,6 @@ def presentation_parse(text: str) -> Presentation:
         raise ParseError(str(exc), headers.get("relations", ("", 1))[1], 1) from None
 
 
-def _poly_text(f: NcPoly) -> str:
-    """Expression text for a polynomial, parseable by ``parse_expr``."""
-    if f.is_zero():
-        return "0"
-    from .freealg import NcOrder
-
-    order = NcOrder(f.gens, "deglex")
-    parts = []
-    for w in sorted(f.terms, key=order.key):
-        c = f.terms[w]
-        mono = word_str(f.gens, w)
-        if mono == "1":
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = mono
-        else:
-            body = f"{abs(c)}*{mono}"
-        parts.append(("- " if c < 0 else "+ ") + body)
-    out = " ".join(parts)
-    return out[2:] if out.startswith("+ ") else "-" + out[2:]
-
-
 def render(p: Presentation) -> str:
     """Presentation file text; ``presentation_parse(render(p)) == p`` as long
     as the order mode matches the presence of weights."""
@@ -242,6 +220,6 @@ def render(p: Presentation) -> str:
         lines.append(f"central: {' '.join(central)}")
     if p.relations:
         lines.append(
-            "relations: " + " ; ".join(_poly_text(r) for r in p.relations)
+            "relations: " + " ; ".join(nc_str(r) for r in p.relations)
         )
     return "\n".join(lines) + "\n"

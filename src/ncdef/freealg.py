@@ -140,10 +140,6 @@ class NcOrder:
         guarantees termination."""
         return (-self.degree(w), len(w), self._cvec(w), word_split(self.gens, w)[1])
 
-    def cmp(self, u: Word, v: Word) -> int:
-        ku, kv = self.key(u), self.key(v)
-        return (ku > kv) - (ku < kv)
-
 
 # -- polynomials ------------------------------------------------------------
 
@@ -221,14 +217,12 @@ class NcPoly:
             out = out * self
         return out
 
-    def max_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def __repr__(self) -> str:
         return f"NcPoly({nc_str(self)})"
 
 
 def nc_str(f: NcPoly) -> str:
+    """Expression text for a polynomial, parseable by ``exprparse.parse_expr``."""
     if f.is_zero():
         return "0"
     order = NcOrder(f.gens, "deglex")

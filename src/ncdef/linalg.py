@@ -26,9 +26,6 @@ class RowSpace:
     def rank(self) -> int:
         return len(self._rows)
 
-    def pivots(self):
-        return set(self._rows)
-
     def _eliminate(self, vec: dict) -> dict:
         vec = dict(vec)
         while vec:

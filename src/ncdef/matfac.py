@@ -58,10 +58,6 @@ class PolyMatrix:
             [[scalar if i == j else _0 for j in range(n)] for i in range(n)]
         )
 
-    @staticmethod
-    def zeros(m: int, n: int) -> "PolyMatrix":
-        return PolyMatrix([[_0] * n for _ in range(m)])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyMatrix) and self.rows == other.rows
 

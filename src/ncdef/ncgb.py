@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .commpoly import GrlexOrder, VarSet, local_report
+from .commpoly import GrlexOrder, VarSet, graded_dims, local_report
 from .freealg import (
     GenSet,
     NcOrder,
@@ -148,6 +148,43 @@ def find_division(gens: GenSet, lead: Word, w: Word) -> Optional[tuple[Word, Wor
     return None
 
 
+def _divisor(
+    gens: GenSet, rules: Sequence[RewriteRule], w: Word
+) -> Optional[tuple[RewriteRule, tuple[Word, Word]]]:
+    """The first rule whose lead divides ``w``, with the division, or None."""
+    for r in rules:
+        div = find_division(gens, r.lead, w)
+        if div is not None:
+            return r, div
+    return None
+
+
+def _irreducible_levels(
+    gens: GenSet, rules: Sequence[RewriteRule], maxlen: int
+) -> list[list[Word]]:
+    """Rule-irreducible canonical words by length: ``levels[k]`` for k <= maxlen.
+
+    Every word of length k+1 extends a word of length k by one letter, and a
+    rule dividing the shorter word divides the longer one, so extending only
+    irreducible words reaches them all.  Each level is in generation order:
+    first appearance while extending the previous level letter by letter.
+    No rule has the empty lead, so the empty word is irreducible.
+    """
+    levels: list[list[Word]] = [[()]]
+    for _ in range(maxlen):
+        seen: set[Word] = set()
+        level: list[Word] = []
+        for w in levels[-1]:
+            for g in range(len(gens.names)):
+                u = word_mul(gens, w, (g,))
+                if u not in seen:
+                    seen.add(u)
+                    if _divisor(gens, rules, u) is None:
+                        level.append(u)
+        levels.append(level)
+    return levels
+
+
 @dataclass
 class ReduceResult:
     poly: NcPoly
@@ -179,12 +216,7 @@ def nc_reduce(f: NcPoly, gb: TruncatedGB, with_trace: bool = False) -> ReduceRes
         for w in work:
             if w in irreducible:
                 continue
-            hit = None
-            for r in active:
-                div = find_division(gens, r.lead, w)
-                if div is not None:
-                    hit = (r, div)
-                    break
+            hit = _divisor(gens, active, w)
             if hit is None:
                 irreducible.add(w)
                 continue
@@ -227,6 +259,23 @@ def _prov_add(dst: Provenance, src: Provenance) -> None:
             dst.pop(key, None)
 
 
+def _fold_trace(
+    gb: TruncatedGB,
+    trace: Sequence[tuple[Fraction, Word, int, Word]],
+    prov: Optional[Provenance],
+    sign: int,
+) -> bool:
+    """Add ``sign * c * u * rule_i * v`` for each step to ``prov`` (skipped
+    when None); True when every rule used is exact."""
+    exact = True
+    for c, u, i, v in trace:
+        rule = gb.rules[i]
+        if prov is not None:
+            _prov_add(prov, _conj(gb.gens, u, rule.prov, v, sign * c))
+        exact = exact and rule.exact
+    return exact
+
+
 _MAX_COMPLETION_STEPS = 200_000
 
 
@@ -258,44 +307,26 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         prov: Provenance = {((), i, ()): Fraction(1)} if provenance else {}
         push(min(len(w) for w in rel.terms), ("poly", rel, prov, True))
 
-    def build_spoly(item) -> tuple[NcPoly, Provenance, bool]:
-        kind = item[0]
-        if kind == "poly":
+    def build(item) -> tuple[NcPoly, Optional[Provenance], bool]:
+        """Polynomial, provenance (None when off) and exactness of an item.
+
+        A ``comb`` item is a two-sided combination  sum c * u * rule_i * v
+        of rules whose leads cancel (critical pairs, central-letter pairs)
+        or lie in m^trunc (cutoff extensions, never exact); its polynomial
+        is what remains,  -sum c * u * tail_i * v.
+        """
+        if item[0] == "poly":
             _, poly, prov, exact = item
-            return poly, dict(prov), exact
-        if kind == "comm":
-            _, pi, x = item
-            r = gb.rules[pi]
-            xp = NcPoly(gens, {(x,): Fraction(1)})
-            s = r.tail * xp - xp * r.tail
-            prov: Provenance = {}
-            if provenance:
-                _prov_add(prov, _conj(gens, (x,), r.prov, (), Fraction(1)))
-                _prov_add(prov, _conj(gens, (), r.prov, (x,), Fraction(-1)))
-            return s, prov, r.exact
-        if kind == "ext":
-            # u * rule * v whose lead multiple crosses the length cutoff:
-            # the lead part lands in m^trunc, so the tail part alone is a
-            # member of I + m^trunc (never exact).
-            _, pi, u, v = item
-            r = gb.rules[pi]
-            s = (
-                NcPoly(gens, {u: Fraction(1)})
-                * r.poly()
-                * NcPoly(gens, {v: Fraction(1)})
-            )
-            prov = _conj(gens, u, r.prov, v, Fraction(1)) if provenance else {}
-            return s, prov, r.exact
-        _, pi, qi, up, vp, uq, vq = item
-        rp, rq = gb.rules[pi], gb.rules[qi]
-        left = NcPoly(gens, {up: Fraction(1)}) * rp.tail * NcPoly(gens, {vp: Fraction(1)})
-        right = NcPoly(gens, {uq: Fraction(1)}) * rq.tail * NcPoly(gens, {vq: Fraction(1)})
-        s = left - right
-        prov: Provenance = {}
-        if provenance:
-            _prov_add(prov, _conj(gens, uq, rq.prov, vq, Fraction(1)))
-            _prov_add(prov, _conj(gens, up, rp.prov, vp, Fraction(-1)))
-        return s, prov, rp.exact and rq.exact
+            return poly, (dict(prov) if provenance else None), exact
+        _, combo, exact = item
+        terms: dict[Word, Fraction] = {}
+        for c, u, i, v in combo:
+            for tw, tc in gb.rules[i].tail.terms.items():
+                w = word_mul(gens, word_mul(gens, u, tw), v)
+                terms[w] = terms.get(w, 0) - c * tc
+        prov = {} if provenance else None
+        exact = _fold_trace(gb, combo, prov, 1) and exact
+        return NcPoly(gens, terms), prov, exact
 
     def gen_pairs(rp: RewriteRule, rq: RewriteRule) -> None:
         """Queue the critical pairs of the ordered rule pair (rp, rq)."""
@@ -309,7 +340,7 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         clen = sum(cmax.values())
 
         def emit(up, vp, uq, vq, wlen):
-            push(wlen, ("amb", rp.idx, rq.idx, up, vp, uq, vq))
+            push(wlen, ("comb", ((1, uq, rq.idx, vq), (-1, up, rp.idx, vp)), True))
 
         if pn and qn:
             # proper overlaps: a suffix of pn is a prefix of qn
@@ -336,21 +367,6 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
             if shared and rp is not rq:
                 emit(rest_p, (), rest_q, (), clen)
 
-    words_by_len: list[list[Word]] = [[()]]
-    words_seen: set[Word] = {()}
-
-    def words_of_len(k: int) -> list[Word]:
-        while len(words_by_len) <= k:
-            nxt = []
-            for w in words_by_len[-1]:
-                for gi in range(len(gens.names)):
-                    u = word_mul(gens, w, (gi,))
-                    if u not in words_seen:
-                        words_seen.add(u)
-                        nxt.append(u)
-            words_by_len.append(nxt)
-        return words_by_len[k]
-
     def enqueue_cutoff_exts(r: RewriteRule) -> None:
         """Close a rule with tail words shorter than its lead under the cutoff.
 
@@ -369,23 +385,17 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         if r.ext_mt is not None:
             lo = max(lo, trunc - r.ext_mt)
         r.ext_mt = mt
-
+        if lo >= trunc - mt:
+            return
         # Reducible factors may be skipped: if u rewrites to red(u), then
         # u*tail*v - red(u)*tail*v lies in I + m^trunc already, so closing
         # over irreducible factors closes over all of them.
-        def irreducible(w: Word) -> bool:
-            return not any(
-                find_division(gens, a.lead, w) for a in gb.active_rules()
-            )
-
+        levels = _irreducible_levels(gens, gb.active_rules(), trunc - mt - 1)
         for s in range(lo, trunc - mt):
             for k in range(s + 1):
-                for u in words_of_len(k):
-                    if not irreducible(u):
-                        continue
-                    for v in words_of_len(s - k):
-                        if irreducible(v):
-                            push(dl + s, ("ext", r.idx, u, v))
+                for u in levels[k]:
+                    for v in levels[s - k]:
+                        push(dl + s, ("comb", ((1, u, r.idx, v),), False))
 
     steps = 0
     while heap:
@@ -393,18 +403,9 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         if steps > _MAX_COMPLETION_STEPS:
             raise RuntimeError("completion step limit exceeded")
         _, _, item = heapq.heappop(heap)
-        poly, prov, exact = build_spoly(item)
+        poly, prov, exact = build(item)
         red = nc_reduce(poly, gb, with_trace=True)
-        if red.truncated:
-            exact = False
-        if provenance:
-            for c, u, i, v in red.trace:
-                rule = gb.rules[i]
-                _prov_add(prov, _conj(gens, u, rule.prov, v, -c))
-                if not rule.exact:
-                    exact = False
-        else:
-            exact = exact and all(gb.rules[i].exact for _, _, i, _ in red.trace)
+        exact = _fold_trace(gb, red.trace, prov, -1) and exact and not red.truncated
         if red.poly.is_zero():
             continue
         lead = max(red.poly.terms, key=order.rule_key)
@@ -412,9 +413,8 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
             raise PresentationError("relations generate the unit ideal")
         c0 = red.poly.terms[lead]
         tail = NcPoly(gens, {w: -cf / c0 for w, cf in red.poly.terms.items() if w != lead})
-        if provenance:
-            prov = {k: cf / c0 for k, cf in prov.items()}
-        new = RewriteRule(lead, tail, prov if provenance else {}, exact, len(gb.rules))
+        prov = {k: cf / c0 for k, cf in prov.items()} if provenance else {}
+        new = RewriteRule(lead, tail, prov, exact, len(gb.rules))
         gb.rules.append(new)
         # retire rules whose lead the new lead divides; requeue their content
         for r in gb.rules:
@@ -429,17 +429,11 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
             rr = nc_reduce(r.tail, gb, with_trace=True)
             if rr.trace or rr.truncated:
                 r.tail = rr.poly
-                if rr.truncated:
-                    r.exact = False
-                if provenance:
-                    for c, u, i, v in rr.trace:
-                        used = gb.rules[i]
-                        _prov_add(r.prov, _conj(gens, u, used.prov, v, c))
-                        if not used.exact:
-                            r.exact = False
-                else:
-                    if any(not gb.rules[i].exact for _, _, i, _ in rr.trace):
-                        r.exact = False
+                r.exact = (
+                    _fold_trace(gb, rr.trace, r.prov if provenance else None, 1)
+                    and r.exact
+                    and not rr.truncated
+                )
                 enqueue_cutoff_exts(r)
         for r in gb.rules:
             if not r.active:
@@ -452,37 +446,16 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
             for x in noncentral:
                 # a central-only lead rewrites at any position, so its tail
                 # must commute with every noncommuting generator
-                push(len(new.lead) + 1, ("comm", new.idx, x))
+                push(len(new.lead) + 1,
+                     ("comb", ((1, (x,), new.idx, ()), (-1, (), new.idx, (x,))), True))
     return gb
 
 
 def _irreducible_words(gb: TruncatedGB) -> list[Word]:
-    """All rule-irreducible canonical words of length < trunc, shortest first.
-
-    Every irreducible word of length L+1 extends an irreducible word of
-    length L (drop the last noncommutative letter, or any central letter), so
-    a breadth-first search over irreducible words is exhaustive, and an empty
-    level ends the search for good.
-    """
-    gens, order = gb.gens, gb.order
-    active = gb.active_rules()
-
-    def reducible(w: Word) -> bool:
-        return any(find_division(gens, r.lead, w) is not None for r in active)
-
-    out: list[Word] = []
-    level: list[Word] = [()]
-    if reducible(()):
-        return []
-    out.append(())
-    ngens = len(gens.names)
-    for _ in range(1, gb.trunc):
-        children = {word_mul(gens, w, (g,)) for w in level for g in range(ngens)}
-        level = sorted((w for w in children if not reducible(w)), key=order.key)
-        if not level:
-            break
-        out.extend(level)
-    return out
+    """All rule-irreducible canonical words of length < trunc, shortest
+    first, each length in word order."""
+    levels = _irreducible_levels(gb.gens, gb.active_rules(), gb.trunc - 1)
+    return [w for level in levels for w in sorted(level, key=gb.order.key)]
 
 
 @dataclass
@@ -510,6 +483,8 @@ def quotient_report(
     the tower constant from N on); the reported monomial basis is taken from
     the first pair of consecutive cutoffs whose basis sets agree.
     """
+    if maxN < 2:
+        raise ValueError(f"the maximum cutoff must be >= 2, got {maxN}")
     basis: Optional[list[Word]] = None
     gb: Optional[TruncatedGB] = None
     certified_at: Optional[int] = None
@@ -530,10 +505,6 @@ def quotient_report(
     if not stabilized:
         basis, gb = prev
     status = "finite" if certified_at is not None else "not-finite"
-    graded: dict[int, int] = {}
-    for w in basis:
-        graded[len(w)] = graded.get(len(w), 0) + 1
-    graded_dims = [graded.get(d, 0) for d in range(max(graded, default=0) + 1)]
     weight_list = None
     if p.order == "wdeglex" and status == "finite":
         weight_list = sorted(word_weight(p.gens, w) for w in basis)
@@ -543,7 +514,7 @@ def quotient_report(
         certified_at=certified_at,
         up_to=last_n,
         basis=basis,
-        graded_dims=graded_dims,
+        graded_dims=graded_dims(len(w) for w in basis),
         weight_list=weight_list,
         gb=gb,
     )
@@ -594,15 +565,13 @@ def derive_check(
     out = []
     for f in claims:
         red = nc_reduce(f, gb, with_trace=True)
-        ok = (
+        if (
             red.poly.is_zero()
             and not red.truncated
-            and all(gb.rules[i].exact for _, _, i, _ in red.trace)
-        )
-        if ok:
+            and _fold_trace(gb, red.trace, None, 1)
+        ):
             cert: Provenance = {}
-            for c, u, i, v in red.trace:
-                _prov_add(cert, _conj(p.gens, u, gb.rules[i].prov, v, c))
+            _fold_trace(gb, red.trace, cert, 1)
             if expand_certificate(p, cert) != f:
                 raise InternalConsistencyError(
                     "certificate replay does not reproduce the claim"

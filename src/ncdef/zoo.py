@@ -27,6 +27,7 @@ from .freealg import (
     GenSet,
     NcPoly,
     Word,
+    canon_word,
     commutator,
     genset,
     nc_abelianize,
@@ -527,10 +528,7 @@ def _transport(f: NcPoly, target: GenSet) -> NcPoly:
     names (used to move claims between claimed/full generator sets)."""
     terms = {}
     for w, coef in f.terms.items():
-        letters = [target.index(f.gens.names[i]) for i in w]
-        cen = sorted(x for x in letters if target.central[x])
-        rest = [x for x in letters if not target.central[x]]
-        terms[tuple(cen) + tuple(rest)] = coef
+        terms[canon_word(target, [target.index(f.gens.names[i]) for i in w])] = coef
     return NcPoly(target, terms)
 
 
@@ -733,12 +731,8 @@ class SuperpotentialReport:
     differences: dict[str, NcPoly]
     reduces_to_deformed_family: bool
 
-    @property
-    def all_match(self) -> bool:
-        return all(self.matches.values())
 
-
-def superpotential_check(n: int, lam: Sequence[LambdaEntry], trunc: int = 0) -> SuperpotentialReport:
+def superpotential_check(n: int, lam: Sequence[LambdaEntry]) -> SuperpotentialReport:
     """Cyclically differentiate the candidate potential in a, b, c, d, w and
     compare with the displayed relation list; mismatches are reported as
     data.  Also checks that setting c = d = w = 0 in the displayed relations
@@ -779,7 +773,6 @@ def superpotential_check(n: int, lam: Sequence[LambdaEntry], trunc: int = 0) -> 
         if not diff.is_zero():
             differences[x] = diff
     # c = d = w = 0 in the displayed relations leaves the two-generator family
-    zero = NcPoly.zero(g)
 
     def drop(f: NcPoly) -> NcPoly:
         keep = {"a", "b"}

@@ -41,6 +41,7 @@ from ncdef.zoo import (
     length2_universal_suite,
     verify_higher_length,
 )
+from oracle import brute_force_dim
 
 
 def _verdict(num, ok, summary, t0, budget):
@@ -116,7 +117,7 @@ def test_04_square_deformation_pair():
     ok = (
         r1.status == "finite"
         and r1.dim == 8
-        and r1.dim == _brute_force_dim(deformed, r1.certified_at)
+        and r1.dim == brute_force_dim(deformed, r1.certified_at)
         and r2.status == "not-finite"
         and r2.up_to == 20
     )
@@ -303,38 +304,7 @@ def test_12_property_suites():
     for pres in corpus:
         for n in (4, 6, 8):
             engine = len(_irreducible_words(nc_complete(pres, n)))
-            ok = ok and engine == _brute_force_dim(pres, n)
+            ok = ok and engine == brute_force_dim(pres, n)
 
     _verdict(12, ok, "axioms, idempotence, monotonicity, certificates, oracle",
              t0, 300)
-
-
-def _brute_force_dim(p, n):
-    from ncdef.freealg import NcOrder, word_mul
-    from ncdef.linalg import RowSpace
-
-    gens = p.gens
-    seen = {(): None}
-    level = [()]
-    for _ in range(n - 1):
-        nxt = []
-        for w in level:
-            for gi in range(len(gens.names)):
-                u = word_mul(gens, w, (gi,))
-                if u not in seen:
-                    seen[u] = None
-                    nxt.append(u)
-        level = nxt
-    words = list(seen)
-    span = RowSpace(key=NcOrder(gens, p.order).key)
-    for rel in p.relations:
-        minlen = min(len(w) for w in rel.terms)
-        for u in words:
-            for v in words:
-                if len(u) + minlen + len(v) >= n:
-                    continue
-                f = NcPoly.word(gens, u) * rel * NcPoly.word(gens, v)
-                f = NcPoly(gens, {w: c for w, c in f.terms.items() if len(w) < n})
-                if not f.is_zero():
-                    span.add(dict(f.terms))
-    return len(words) - span.rank

@@ -167,3 +167,25 @@ def test_version_exits_zero(capsys):
     code, doc, cap = run(capsys, "--version")
     assert code == 0 and doc is None
     assert cap.out.strip()
+
+
+def _one_line_error(cap):
+    lines = cap.err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("ncdef: error:")
+
+
+def test_max_degree_below_two_is_usage_error(tmp_path, capsys):
+    code, doc, cap = run(capsys, "zoo", "laufer", "--n", "1", "--lambda",
+                         "0,0", "--max-degree", "1")
+    assert code == 2 and doc is None and _one_line_error(cap)
+    f = tmp_path / "alg.txt"
+    f.write_text("generators: a\nrelations: a^3\n")
+    code, doc, cap = run(capsys, "gb", str(f), "--max-degree", "1")
+    assert code == 2 and doc is None and _one_line_error(cap)
+
+
+def test_env_max_degree_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("NCDEF_MAX_DEGREE", "ten")
+    code, doc, cap = run(capsys, "bundle", "--length", "2")
+    assert code == 2 and doc is None and _one_line_error(cap)
+    assert "NCDEF_MAX_DEGREE" in cap.err

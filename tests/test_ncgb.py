@@ -1,7 +1,6 @@
 import pytest
 
-from ncdef.freealg import NcOrder, NcPoly, genset, word_mul, word_str
-from ncdef.linalg import RowSpace
+from ncdef.freealg import NcPoly, genset, word_mul, word_str
 from ncdef.ncgb import (
     DimensionUndefinedError,
     Presentation,
@@ -13,6 +12,7 @@ from ncdef.ncgb import (
     nc_reduce,
     quotient_report,
 )
+from oracle import brute_force_dim
 
 G2 = genset(["a", "b"])
 A = NcPoly.gen(G2, "a")
@@ -83,46 +83,6 @@ def test_completion_example_leads():
 
 # ------------------------------------------------------- brute-force oracle
 
-
-def _words_up_to(gens, maxlen):
-    seen = {(): None}
-    level = [()]
-    for _ in range(maxlen):
-        nxt = []
-        for w in level:
-            for gi in range(len(gens.names)):
-                u = word_mul(gens, w, (gi,))
-                if u not in seen:
-                    seen[u] = None
-                    nxt.append(u)
-        level = nxt
-    return list(seen)
-
-
-def _truncate(f, n):
-    return NcPoly(f.gens, {w: c for w, c in f.terms.items() if len(w) < n})
-
-
-def brute_force_dim(p, n):
-    """dim of T/(I + m^n) by straight linear algebra over words of length < n."""
-    gens = p.gens
-    words = [w for w in _words_up_to(gens, n - 1)]
-    order = NcOrder(gens, p.order)
-    span = RowSpace(key=order.key)
-    for rel in p.relations:
-        minlen = min(len(w) for w in rel.terms)
-        for u in words:
-            for v in words:
-                if len(u) + minlen + len(v) >= n:
-                    continue
-                f = _truncate(
-                    NcPoly.word(gens, u) * rel * NcPoly.word(gens, v), n
-                )
-                if not f.is_zero():
-                    span.add(dict(f.terms))
-    return len(words) - span.rank
-
-
 CORPUS = [
     ("laufer-n1", laufer(1)),
     ("free-1gen", _pres(genset(["a"]), [])),
@@ -142,6 +102,27 @@ def test_truncated_dimension_matches_brute_force(name, p, n):
 
     gb = nc_complete(p, n)
     assert len(_irreducible_words(gb)) == brute_force_dim(p, n)
+
+
+def _system(gb):
+    return [(r.lead, r.tail, r.exact, r.active) for r in gb.rules]
+
+
+@pytest.mark.parametrize("name,p", CORPUS, ids=[n for n, _ in CORPUS])
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_provenance_does_not_change_the_system(name, p, n):
+    assert _system(nc_complete(p, n, True)) == _system(nc_complete(p, n, False))
+
+
+def test_exact_rule_provenance_replays():
+    replayed = 0
+    for _, p in CORPUS:
+        for n in (3, 5, 7):
+            for r in nc_complete(p, n, True).rules:
+                if r.exact:
+                    assert expand_certificate(p, r.prov) == r.poly()
+                    replayed += 1
+    assert replayed == 35
 
 
 # --------------------------------------------------------- quotient reports
