@@ -3,8 +3,10 @@
 Subcommands: ``zoo`` (laufer | length2 | karmazyn), ``gb``, ``matfac``,
 ``bundle``, ``identities``.  Exit status: 0 when every executed check passed
 (or the command only reports a derivation), 1 on a check failure, 2 on a
-usage or parse error.  ``NCDEF_MAX_DEGREE`` overrides the default truncation
-degree.
+usage or parse error or when the engine cannot finish (the completion step
+limit is exceeded, or two independent computations disagree, such as a
+certificate that does not replay); each exit-2 error is one line on stderr.
+``NCDEF_MAX_DEGREE`` overrides the default truncation degree.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .matfac import (
     mf_verify,
     polynomial_identity_suite,
 )
-from .ncgb import DimensionUndefinedError, quotient_report
+from .ncgb import DimensionUndefinedError, InternalConsistencyError, quotient_report
 from .zoo import (
     karmazyn_contraction_presentation,
     laufer_presentation,
@@ -159,6 +161,8 @@ def _cmd_zoo(args) -> dict[str, Any]:
         extra["presentation"] = render(p)
         return _doc("zoo", inputs, checks, extra)
     if args.family == "length2":
+        if maxN < 8:
+            raise ValueError(f"zoo length2 needs --max-degree >= 8, got {maxN}")
         rep = length2_universal_suite(trunc=maxN if maxN < 20 else 8)
         checks = (
             _suitecheck_entries("forward", rep.forward)
@@ -335,7 +339,8 @@ def run_command(argv: list[str]) -> tuple[int, Optional[dict[str, Any]]]:
     t0 = time.monotonic()
     try:
         doc = _DISPATCH[args.subcommand](args)
-    except (ParseError, OSError, ValueError, argparse.ArgumentTypeError) as exc:
+    except (ParseError, OSError, ValueError, argparse.ArgumentTypeError,
+            RuntimeError, InternalConsistencyError) as exc:
         print(f"ncdef: error: {exc}", file=sys.stderr)
         return 2, None
     doc["timing_ms"] = round((time.monotonic() - t0) * 1000.0, 3)

@@ -12,6 +12,8 @@ over increasing cutoffs to certify the dimension of the completed algebra.
 Rules carry provenance: an exact rule records how its polynomial expands as a
 two-sided combination of the original relations, which lets
 :func:`derive_check` emit independently replayable membership certificates.
+Provenance is folded only for a pair that becomes a rule: pairs which reduce
+to zero never build one.
 """
 
 from __future__ import annotations
@@ -307,8 +309,8 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         prov: Provenance = {((), i, ()): Fraction(1)} if provenance else {}
         push(min(len(w) for w in rel.terms), ("poly", rel, prov, True))
 
-    def build(item) -> tuple[NcPoly, Optional[Provenance], bool]:
-        """Polynomial, provenance (None when off) and exactness of an item.
+    def build(item) -> tuple[NcPoly, bool]:
+        """Polynomial and exactness of an item.
 
         A ``comb`` item is a two-sided combination  sum c * u * rule_i * v
         of rules whose leads cancel (critical pairs, central-letter pairs)
@@ -316,17 +318,23 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         is what remains,  -sum c * u * tail_i * v.
         """
         if item[0] == "poly":
-            _, poly, prov, exact = item
-            return poly, (dict(prov) if provenance else None), exact
+            _, poly, _, exact = item
+            return poly, exact
         _, combo, exact = item
         terms: dict[Word, Fraction] = {}
         for c, u, i, v in combo:
             for tw, tc in gb.rules[i].tail.terms.items():
                 w = word_mul(gens, word_mul(gens, u, tw), v)
                 terms[w] = terms.get(w, 0) - c * tc
-        prov = {} if provenance else None
-        exact = _fold_trace(gb, combo, prov, 1) and exact
-        return NcPoly(gens, terms), prov, exact
+        return NcPoly(gens, terms), _fold_trace(gb, combo, None, 1) and exact
+
+    def item_prov(item) -> Provenance:
+        """Provenance of an item, built only for one that becomes a rule."""
+        if item[0] == "poly":
+            return dict(item[2])
+        prov: Provenance = {}
+        _fold_trace(gb, item[1], prov, 1)
+        return prov
 
     def gen_pairs(rp: RewriteRule, rq: RewriteRule) -> None:
         """Queue the critical pairs of the ordered rule pair (rp, rq)."""
@@ -403,11 +411,14 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         if steps > _MAX_COMPLETION_STEPS:
             raise RuntimeError("completion step limit exceeded")
         _, _, item = heapq.heappop(heap)
-        poly, prov, exact = build(item)
+        poly, exact = build(item)
         red = nc_reduce(poly, gb, with_trace=True)
-        exact = _fold_trace(gb, red.trace, prov, -1) and exact and not red.truncated
         if red.poly.is_zero():
             continue
+        # nothing has changed gb.rules since the pop, so the provenance
+        # folded now is the one the item would have carried all along
+        prov = item_prov(item) if provenance else None
+        exact = _fold_trace(gb, red.trace, prov, -1) and exact and not red.truncated
         lead = max(red.poly.terms, key=order.rule_key)
         if not lead:
             raise PresentationError("relations generate the unit ideal")

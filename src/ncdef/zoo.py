@@ -569,29 +569,34 @@ def verify_higher_length(l: int, trunc: int = 8) -> HigherLengthReport:
         raise ValueError("length must be in 2..6")
     source = karmazyn_contraction_presentation(l)
     slots = claimed_relation_readings(l)
+    corrections = [corrected_relation(l, si) for si in range(len(slots))]
+    # one completion of the source decides every reading and correction:
+    # each slot's readings, then its correction when one is defined
+    batch: list[NcPoly] = []
+    for readings, corr in zip(slots, corrections):
+        batch += [p for _, p in readings] + ([corr] if corr is not None else [])
+    results = iter(derive_check(source, [_transport(p, source.gens) for p in batch],
+                                trunc))
     forward: list[RelationVerdict] = []
     chosen: list[NcPoly] = []
     corrected: dict[int, NcPoly] = {}
-    for si, readings in enumerate(slots):
-        moved = [(_transport(p, source.gens)) for _, p in readings]
-        results = derive_check(source, moved, trunc)
-        statuses = [(name, r.status) for (name, _), r in zip(readings, results)]
+    for si, (readings, corr) in enumerate(zip(slots, corrections)):
+        res = [next(results) for _ in readings]
+        cres = next(results) if corr is not None else None
+        statuses = [(name, r.status) for (name, _), r in zip(readings, res)]
         hit = next(
-            (name for (name, _), r in zip(readings, results)
+            (name for (name, _), r in zip(readings, res)
              if r.status == "certified-zero"),
             None,
         )
         cstat = None
         if hit is not None:
             chosen.append(dict(readings)[hit])
-        else:
-            corr = corrected_relation(l, si)
-            if corr is not None:
-                cres = derive_check(source, [_transport(corr, source.gens)], trunc)[0]
-                cstat = cres.status
-                if cres.status == "certified-zero":
-                    chosen.append(corr)
-                    corrected[si] = corr
+        elif cres is not None:
+            cstat = cres.status
+            if cstat == "certified-zero":
+                chosen.append(corr)
+                corrected[si] = corr
         forward.append(RelationVerdict(si, hit, statuses, cstat))
 
     backward: list[SuiteCheck] = []

@@ -189,3 +189,33 @@ def test_env_max_degree_not_an_integer(monkeypatch, capsys):
     code, doc, cap = run(capsys, "bundle", "--length", "2")
     assert code == 2 and doc is None and _one_line_error(cap)
     assert "NCDEF_MAX_DEGREE" in cap.err
+
+
+def test_zoo_length2_max_degree_below_eight(capsys):
+    code, doc, cap = run(capsys, "zoo", "length2", "--max-degree", "5")
+    assert code == 2 and doc is None and _one_line_error(cap)
+    assert "--max-degree" in cap.err and "8" in cap.err
+    assert "trunc" not in cap.err
+
+
+def test_completion_step_limit_is_one_line_error(tmp_path, monkeypatch, capsys):
+    from ncdef import ncgb
+
+    monkeypatch.setattr(ncgb, "_MAX_COMPLETION_STEPS", 1)
+    f = tmp_path / "laufer1.txt"
+    f.write_text("generators: a b\nweights: 3 2\nrelations: a*b + b*a ; a^2 + b^3\n")
+    code, doc, cap = run(capsys, "gb", str(f), "--max-degree", "8")
+    assert code == 2 and doc is None and _one_line_error(cap)
+    assert "step limit" in cap.err
+
+
+def test_certificate_replay_failure_is_one_line_error(monkeypatch, capsys):
+    from ncdef import ncgb
+    from ncdef.freealg import NcPoly
+
+    monkeypatch.setattr(ncgb, "expand_certificate",
+                        lambda p, cert: NcPoly.zero(p.gens))
+    code, doc, cap = run(capsys, "zoo", "karmazyn", "--length", "2", "--verify",
+                         "--max-degree", "8")
+    assert code == 2 and doc is None and _one_line_error(cap)
+    assert "replay" in cap.err

@@ -12,6 +12,11 @@ from ncdef.ncgb import (
     nc_reduce,
     quotient_report,
 )
+from ncdef.zoo import (
+    _claimed_genset,
+    claimed_relation_readings,
+    karmazyn_contraction_presentation,
+)
 from oracle import brute_force_dim
 
 G2 = genset(["a", "b"])
@@ -123,6 +128,23 @@ def test_exact_rule_provenance_replays():
                     assert expand_certificate(p, r.prov) == r.poly()
                     replayed += 1
     assert replayed == 35
+
+
+KARMAZYN = [
+    ("source-3", karmazyn_contraction_presentation(3)),
+    ("claimed-4", _pres(_claimed_genset(4),
+                        [readings[0][1] for readings in claimed_relation_readings(4)])),
+]
+
+
+@pytest.mark.parametrize("name,p", KARMAZYN, ids=[n for n, _ in KARMAZYN])
+def test_karmazyn_exact_rules_replay(name, p):
+    gb = nc_complete(p, 8, True)
+    assert _system(gb) == _system(nc_complete(p, 8, False))
+    exact = [r for r in gb.rules if r.exact]
+    assert exact
+    for r in exact:
+        assert expand_certificate(p, r.prov) == r.poly()
 
 
 # --------------------------------------------------------- quotient reports

@@ -153,6 +153,49 @@ def test_verify_higher_length_6_needs_correction():
     assert all(c.ok for c in rep.backward)
 
 
+@pytest.mark.parametrize("l", [3, 4])
+def test_verify_higher_length_completes_each_presentation_once(l, monkeypatch):
+    from ncdef import ncgb
+
+    calls = []
+    real = ncgb.nc_complete
+
+    def counting(p, trunc, provenance=True):
+        calls.append((p, trunc))
+        return real(p, trunc, provenance)
+
+    monkeypatch.setattr(ncgb, "nc_complete", counting)
+    rep = verify_higher_length(l, 8)
+    assert rep.ok
+    # the source once for every slot, the claimed presentation once
+    assert len(calls) == 2
+    assert calls[0][0] == karmazyn_contraction_presentation(l)
+
+
+@pytest.mark.parametrize("l", [3, 5])
+def test_batched_claims_match_claims_checked_alone(l, monkeypatch):
+    from ncdef import ncgb, zoo
+
+    batches = []
+
+    def recording(p, claims, trunc):
+        results = ncgb.derive_check(p, claims, trunc)
+        batches.append((p, claims, results))
+        return results
+
+    monkeypatch.setattr(zoo, "derive_check", recording)
+    verify_higher_length(l, 8)
+    # forward: every reading of every slot plus each defined correction
+    # (l = 5: readings 1 + 1 + 2 and a correction of slot 2); then backward
+    assert len(batches) == 2 and len(batches[0][1]) == {3: 3, 5: 5}[l]
+    for p, claims, results in batches:
+        for claim, res in zip(claims, results):
+            alone = ncgb.derive_check(p, [claim], 8)[0]
+            assert (res.status, res.certificate, res.normal_form) == (
+                alone.status, alone.certificate, alone.normal_form
+            )
+
+
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
 def test_claimed_readings_and_backward_expressions_nonempty(l):
     slots = claimed_relation_readings(l)
