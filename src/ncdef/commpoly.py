@@ -4,12 +4,19 @@ Polynomials are sparse maps from exponent tuples to nonzero Fractions.  The
 monomial order is graded (optionally weighted) lexicographic with ties broken
 by variable declaration order.  Includes normal forms, quotient monomial
 bases, and local (truncation-stabilized) quotient reports.
+
+:func:`groebner` discards useless S-pairs before reducing them with the
+Gebauer-Moeller criteria (the B, M and F chain criteria and the coprime-lead
+criterion) and reduces the pair of lowest sugar degree, then smallest lcm,
+first.  A :class:`CommGB` carries each element's lead term, so normal forms
+and quotient bases do not recompute them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Optional, Sequence
 
 Exponents = tuple[int, ...]
@@ -280,19 +287,28 @@ def partials(f: CommPoly) -> list[CommPoly]:
 
 @dataclass
 class CommGB:
+    """Polynomials under a monomial order, with the lead term (exponents,
+    coefficient) of each one in ``leads``."""
+
     basis: list[CommPoly]
     order: GrlexOrder
+    leads: list[tuple[Exponents, Fraction]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        self.leads = [g.lead(self.order) for g in self.basis]
 
 
 def normal_form(f: CommPoly, gb: CommGB) -> CommPoly:
-    order = gb.order
-    leads = [g.lead(order) for g in gb.basis]
+    key = gb.order.key
+    reducers = list(zip(gb.basis, gb.leads))
     rem: dict[Exponents, Fraction] = {}
     work = dict(f.terms)
     while work:
-        e = max(work, key=order.key)
+        e = max(work, key=key)
         c = work.pop(e)
-        for g, (ge, gc) in zip(gb.basis, leads):
+        for g, (ge, gc) in reducers:
             if _exps_divides(ge, e):
                 qe = _exps_div(e, ge)
                 qc = c / gc
@@ -300,60 +316,106 @@ def normal_form(f: CommPoly, gb: CommGB) -> CommPoly:
                     ne = _exps_mul(qe, te)
                     if ne == e:
                         continue
-                    nv = work.get(ne, Fraction(0)) - qc * tc
+                    nv = work.get(ne)
+                    nv = -qc * tc if nv is None else nv - qc * tc
                     if nv:
                         work[ne] = nv
                     else:
-                        work.pop(ne, None)
+                        del work[ne]
                 break
         else:
-            rem[e] = rem.get(e, Fraction(0)) + c
+            rem[e] = c
     return CommPoly(f.vars, rem)
 
 
+def _spoly(
+    f: CommPoly, fe: Exponents, g: CommPoly, ge: Exponents, lcm: Exponents
+) -> CommPoly:
+    """S-polynomial of the monic f and g with leads fe and ge."""
+    qf, qg = _exps_div(lcm, fe), _exps_div(lcm, ge)
+    terms = {_exps_mul(qf, e): c for e, c in f.terms.items()}
+    for e, c in g.terms.items():
+        ne = _exps_mul(qg, e)
+        terms[ne] = terms[ne] - c if ne in terms else -c
+    return CommPoly(f.vars, terms)
+
+
 def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
-    """Buchberger with the coprime-lead-term criterion; reduced monic output."""
-    basis = [g for g in gens if not g.is_zero()]
-    if not basis:
+    """Reduced monic Groebner basis of the ideal generated by ``gens``.
+
+    Buchberger's algorithm with the Gebauer-Moeller update.  When an element
+    h is added, its pairs with the earlier elements are pruned by the M and F
+    chain criteria (a pair goes when another new pair's lcm divides its lcm;
+    one pair per lcm is kept) and then by the coprime-lead criterion; queued
+    pairs go by the B chain criterion (lead(h) divides their lcm, which
+    differs from both of their lcms with h); and the elements whose lead
+    lead(h) divides take no later pairs.  The queued pair with the lowest
+    sugar degree, and among those the smallest lcm under ``order.key``, is
+    reduced next, its S-polynomial by the module-level :func:`normal_form`.
+    On a homogeneous ideal the sugar degree is the degree of the lcm.
+    """
+    gb = CommGB([], order)
+    leads: list[Exponents] = []  # lead exponents, parallel to gb.basis
+    sugars: list[int] = []  # sugar degrees, parallel to gb.basis
+    live: list[int] = []  # elements that take pairs with later ones
+    queue: list[tuple] = []  # heap of (sugar, order.key(lcm), i, j, lcm)
+
+    def add(h: CommPoly, sugar: int) -> None:
+        e, c = h.lead(order)
+        k = len(gb.basis)
+        gb.basis.append(h.scale(1 / c))
+        gb.leads.append((e, Fraction(1)))
+        leads.append(e)
+        sugars.append(sugar)
+        lcms = {i: _exps_lcm(leads[i], e) for i in live}
+        coprime = {i for i in live if lcms[i] == _exps_mul(leads[i], e)}
+        pending, kept = list(live), []
+        while pending:
+            i = pending.pop()
+            if i in coprime or not any(
+                _exps_divides(lcms[j], lcms[i]) for j in pending + kept
+            ):
+                kept.append(i)
+        queue[:] = [
+            p for p in queue
+            if not _exps_divides(e, p[4])
+            or _exps_lcm(leads[p[2]], e) == p[4]
+            or _exps_lcm(leads[p[3]], e) == p[4]
+        ]
+        heapify(queue)
+        for i in kept:
+            if i not in coprime:
+                s = order.degree(lcms[i]) + max(
+                    sugars[i] - order.degree(leads[i]), sugar - order.degree(e)
+                )
+                heappush(queue, (s, order.key(lcms[i]), i, k, lcms[i]))
+        live[:] = [i for i in live if not _exps_divides(e, leads[i])] + [k]
+
+    for g in gens:
+        if not g.is_zero():
+            add(g, max(map(order.degree, g.terms)))
+    if not gb.basis:
         raise ValueError("no nonzero generators")
-    basis = [g.scale(1 / g.lead(order)[1]) for g in basis]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
-    while pairs:
-        i, j = pairs.pop(0)
-        fi, fj = basis[i], basis[j]
-        ei, _ = fi.lead(order)
-        ej, _ = fj.lead(order)
-        lcm = _exps_lcm(ei, ej)
-        if lcm == _exps_mul(ei, ej):  # coprime leads: S-poly reduces to 0
-            continue
-        spoly = (
-            CommPoly.monomial(fi.vars, _exps_div(lcm, ei)) * fi
-            - CommPoly.monomial(fj.vars, _exps_div(lcm, ej)) * fj
-        )
-        rem = normal_form(spoly, CommGB(basis, order))
+    while queue:
+        sugar, _, i, j, lcm = heappop(queue)
+        spoly = _spoly(gb.basis[i], leads[i], gb.basis[j], leads[j], lcm)
+        rem = normal_form(spoly, gb)
         if not rem.is_zero():
-            rem = rem.scale(1 / rem.lead(order)[1])
-            basis.append(rem)
-            pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
-    # inter-reduce to the unique reduced basis
-    leads = [g.lead(order)[0] for g in basis]
-    minimal = []
-    for idx in range(len(basis)):
-        redundant = any(
-            k != idx
-            and _exps_divides(leads[k], leads[idx])
-            and (leads[k] != leads[idx] or k < idx)
-            for k in range(len(basis))
-        )
-        if not redundant:
-            minimal.append(idx)
-    reduced: list[CommPoly] = []
-    for idx in minimal:
-        others = [basis[k] for k in minimal if k != idx]
-        nf = normal_form(basis[idx], CommGB(others, order)) if others else basis[idx]
-        if not nf.is_zero():
-            reduced.append(nf.scale(1 / nf.lead(order)[1]))
-    reduced.sort(key=lambda g: g.lead(order)[0])
+            add(rem, sugar)
+    # inter-reduce to the unique reduced basis.  Every element left out of
+    # ``live`` has a lead divisible by a live one, and live leads are distinct.
+    minimal = sorted(
+        (k for k in live
+         if not any(m != k and _exps_divides(leads[m], leads[k]) for m in live)),
+        key=lambda k: leads[k],
+    )
+    tails = CommGB([gb.basis[k] for k in minimal], order)
+    reduced = []
+    for g, (e, c) in zip(tails.basis, tails.leads):
+        # lead(g) divides none of its own tail terms, which lie below it, so
+        # reducing the tail by all of ``tails`` reduces it by the others
+        tail = CommPoly(g.vars, {t: v for t, v in g.terms.items() if t != e})
+        reduced.append(CommPoly(g.vars, {e: c, **normal_form(tail, tails).terms}))
     return CommGB(reduced, order)
 
 
@@ -373,7 +435,7 @@ def quotient_basis(gb: CommGB, bound: int) -> QuotientBasis:
     if bound < 1:
         raise ValueError("bound must be >= 1")
     nvars = len(gb.order.vars)
-    leads = [g.lead(gb.order)[0] for g in gb.basis]
+    leads = [e for e, _ in gb.leads]
     irreducible: list[Exponents] = []
     frontier = [(0,) * nvars]
     top_counts = {}
@@ -437,6 +499,8 @@ def local_report(
 ) -> LocalReport:
     """Dimension of the quotient by (gens) + all monomials of degree >= N,
     certified by one-step stabilization of the truncated basis count."""
+    if maxN < 2:
+        raise ValueError(f"the maximum cutoff must be >= 2, got {maxN}")
     vars = order.vars
     prev: Optional[QuotientBasis] = None
     prev_gb = None
@@ -448,8 +512,5 @@ def local_report(
             gd = graded_dims(sum(e) for e in prev.monomials)
             return LocalReport("finite", prev.dim, N - 1, gd, prev.monomials, prev_gb)
         prev, prev_gb = qb, gb
-    monomials = prev.monomials if prev else []
-    return LocalReport(
-        "not-finite", prev.dim if prev else 0, None,
-        graded_dims(sum(e) for e in monomials), monomials, prev_gb,
-    )
+    gd = graded_dims(sum(e) for e in prev.monomials)
+    return LocalReport("not-finite", prev.dim, None, gd, prev.monomials, prev_gb)

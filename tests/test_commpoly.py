@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncdef import commpoly
 from ncdef.commpoly import (
     CommPoly,
     GrlexOrder,
@@ -184,3 +185,83 @@ def test_local_report_artinian_pair():
     rep2 = local_report([a * a - b ** 3, a * b], GrlexOrder(v2), 12)
     assert rep2.status == "finite"
     assert rep2.dim == 5  # 1, x, y, y^2, y^3 (x^2 = y^3, xy = 0)
+
+
+def test_local_report_rejects_max_cutoff_below_two():
+    gens = partials(_f0(1))
+    for maxN in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"must be >= 2, got {maxN}"):
+            local_report(gens, GrlexOrder(XYZW), maxN)
+
+
+def test_local_report_criteria_prune_pairs(monkeypatch):
+    """The pair criteria keep the f0 tower cheap: without them most of the
+    S-polynomials of the degree-N cut monomials are reduced, only to zero."""
+    calls = []
+    inner = commpoly.normal_form
+
+    def counting(f, gb):
+        calls.append(1)
+        return inner(f, gb)
+
+    monkeypatch.setattr(commpoly, "normal_form", counting)
+    rep = local_report(partials(_f0(1)), GrlexOrder(XYZW), 20)
+    assert (rep.status, rep.dim, rep.certified_at) == ("finite", 11, 6)
+    assert 0 < len(calls) <= 1500
+
+
+def _fermat(vars, degree):
+    """sum_i l_i^degree for the fixed change of coordinates l = L*U*x, with
+    L lower triangular of ones and U unit upper triangular with 2 above the
+    diagonal (the shape of perfbench's milnor forms)."""
+    xs = [CommPoly.variable(vars, n) for n in vars.names]
+    n = len(xs)
+    lower = [[1 if j <= i else 0 for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else (2 if j > i else 0) for j in range(n)] for i in range(n)]
+    f = CommPoly.zero(vars)
+    for i in range(n):
+        lin = CommPoly.zero(vars)
+        for j in range(n):
+            c = sum(lower[i][k] * upper[k][j] for k in range(n))
+            lin = lin + xs[j].scale(c)
+        f = f + lin ** degree
+    return f
+
+
+@pytest.mark.parametrize(
+    "kind, arg",
+    [("jacobian", None), ("fermat", (3, 3)), ("fermat", (3, 4)), ("fermat", (4, 3))]
+    + [("cut", N) for N in range(4, 8)],
+)
+def test_reduced_basis_matches_sympy(kind, arg):
+    """The whole monic reduced grlex basis, coefficients included, equals
+    sympy's for J(f0), Fermat Jacobians in other coordinates and the
+    local_report cut ideals J(f0) + (all monomials of degree N)."""
+    sympy = pytest.importorskip("sympy")
+    if kind == "fermat":
+        nvars, degree = arg
+        gens = partials(_fermat(varset(*XYZW.names[:nvars]), degree))
+    else:
+        gens = partials(_f0(1))
+    if kind == "cut":
+        gens += [CommPoly.monomial(XYZW, e) for e in monomials_of_degree(XYZW, arg)]
+    vars = gens[0].vars
+    syms = sympy.symbols(vars.names)
+    exprs = [
+        sum(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(s ** k for s, k in zip(syms, e)))
+            for e, c in g.terms.items()
+        )
+        for g in gens
+    ]
+    expected = set()
+    for g in sympy.groebner(exprs, *syms, order="grlex").exprs:
+        terms = sympy.Poly(g, *syms).terms(order="grlex")
+        lc = Fraction(int(terms[0][1].p), int(terms[0][1].q))
+        expected.add(frozenset(
+            (tuple(e), Fraction(int(c.p), int(c.q)) / lc) for e, c in terms
+        ))
+    gb = groebner(gens, GrlexOrder(vars))
+    assert {frozenset(g.terms.items()) for g in gb.basis} == expected
+    assert len(gb.basis) == len(expected)
