@@ -163,14 +163,16 @@ def _cmd_zoo(args) -> dict[str, Any]:
     if args.family == "length2":
         if maxN < 8:
             raise ValueError(f"zoo length2 needs --max-degree >= 8, got {maxN}")
-        rep = length2_universal_suite(trunc=maxN if maxN < 20 else 8)
+        cutoff = maxN if maxN < 20 else 8
+        rep = length2_universal_suite(trunc=cutoff)
         checks = (
             _suitecheck_entries("forward", rep.forward)
             + _suitecheck_entries("backward", rep.backward)
             + _suitecheck_entries("abelianized", rep.abelianized)
             + _suitecheck_entries("s1", rep.s1)
         )
-        return _doc("zoo", {"family": "length2", "max_degree": maxN}, checks)
+        return _doc("zoo", {"family": "length2", "max_degree": maxN,
+                            "cutoff": cutoff}, checks)
     # karmazyn
     l = args.length
     p = karmazyn_contraction_presentation(l)
@@ -180,7 +182,8 @@ def _cmd_zoo(args) -> dict[str, Any]:
         return _doc("zoo", inputs,
                     [_check("presentation", "reported")],
                     {"presentation": render(p)})
-    rep = verify_higher_length(l, trunc=min(maxN, 10))
+    cutoff = inputs["cutoff"] = min(maxN, 10)
+    rep = verify_higher_length(l, trunc=cutoff)
     checks: list[dict[str, Any]] = []
     for v in rep.forward:
         if v.reading is not None:

@@ -88,6 +88,8 @@ def word_split(gens: GenSet, w: Word) -> tuple[Word, Word]:
 
 
 def word_mul(gens: GenSet, u: Word, v: Word) -> Word:
+    if not v or not gens.central[v[0]]:
+        return u + v  # v has no central letters, so u + v is canonical
     uc, un = word_split(gens, u)
     vc, vn = word_split(gens, v)
     return tuple(sorted(uc + vc)) + un + vn
@@ -148,7 +150,11 @@ class NcPoly:
 
     def __init__(self, gens: GenSet, terms: Mapping[Word, Fraction]):
         self.gens = gens
-        self.terms = {w: Fraction(c) for w, c in terms.items() if c}
+        self.terms = {
+            w: c if type(c) is Fraction else Fraction(c)
+            for w, c in terms.items()
+            if c
+        }
 
     @staticmethod
     def zero(gens: GenSet) -> "NcPoly":
@@ -187,7 +193,7 @@ class NcPoly:
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
+            out[w] = out.get(w, 0) + c
         return NcPoly(self.gens, out)
 
     def __neg__(self) -> "NcPoly":
@@ -202,7 +208,7 @@ class NcPoly:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = word_mul(self.gens, w1, w2)
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
+                out[w] = out.get(w, 0) + c1 * c2
         return NcPoly(self.gens, out)
 
     def scale(self, c) -> "NcPoly":

@@ -14,6 +14,11 @@ two-sided combination of the original relations, which lets
 :func:`derive_check` emit independently replayable membership certificates.
 Provenance is folded only for a pair that becomes a rule: pairs which reduce
 to zero never build one.
+
+Every normal form goes through :func:`nc_reduce`.  A :class:`TruncatedGB`
+caches, per word, which active rule divides it and the word's rule key;
+completion clears the cache whenever a rule is added or retired, so the
+many reductions between two such changes divide each word only once.
 """
 
 from __future__ import annotations
@@ -110,10 +115,23 @@ class RewriteRule:
 
 @dataclass
 class TruncatedGB:
+    """A rewriting system at length cutoff ``trunc``.
+
+    ``reductions`` caches, per word w, ``(order.rule_key(w), rule)`` for the
+    lowest-index active rule whose lead divides w, or None when no active
+    lead divides it.  An entry depends only on the leads and active flags,
+    so it is valid exactly while the set of active rules is unchanged:
+    whoever adds or retires a rule must clear it.  A changed tail leaves it
+    valid, since the tail is read only when a step is applied.
+    """
+
     gens: GenSet
     order: NcOrder
     trunc: int
     rules: list[RewriteRule]
+    reductions: dict[Word, Optional[tuple[tuple, RewriteRule]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def active_rules(self) -> list[RewriteRule]:
         return [r for r in self.rules if r.active]
@@ -152,12 +170,11 @@ def find_division(gens: GenSet, lead: Word, w: Word) -> Optional[tuple[Word, Wor
 
 def _divisor(
     gens: GenSet, rules: Sequence[RewriteRule], w: Word
-) -> Optional[tuple[RewriteRule, tuple[Word, Word]]]:
-    """The first rule whose lead divides ``w``, with the division, or None."""
+) -> Optional[RewriteRule]:
+    """The first rule whose lead divides ``w``, or None."""
     for r in rules:
-        div = find_division(gens, r.lead, w)
-        if div is not None:
-            return r, div
+        if find_division(gens, r.lead, w) is not None:
+            return r
     return None
 
 
@@ -187,6 +204,9 @@ def _irreducible_levels(
     return levels
 
 
+_UNSEEN = object()  # marks a word missing from ``TruncatedGB.reductions``
+
+
 @dataclass
 class ReduceResult:
     poly: NcPoly
@@ -200,10 +220,13 @@ def nc_reduce(f: NcPoly, gb: TruncatedGB, with_trace: bool = False) -> ReduceRes
     Each step rewrites the reducible term with the largest rule key (the
     lowest-degree one), using the lowest-index applicable rule at its leftmost
     occurrence; replacement words of length >= ``trunc`` are dropped and
-    recorded in ``truncated``.
+    recorded in ``truncated``.  Which rule divides a word, and the word's
+    rule key, are looked up in ``gb.reductions`` and computed only for words
+    not seen since the active rules last changed; the division itself is
+    found only for the word a step rewrites.
     """
-    gens, order = gb.gens, gb.order
-    active = gb.active_rules()
+    gens, order, cache = gb.gens, gb.order, gb.reductions
+    active: Optional[list[RewriteRule]] = None
     work: dict[Word, Fraction] = {}
     truncated = False
     for w, c in f.terms.items():
@@ -212,29 +235,28 @@ def nc_reduce(f: NcPoly, gb: TruncatedGB, with_trace: bool = False) -> ReduceRes
         else:
             work[w] = c
     trace: list[tuple[Fraction, Word, int, Word]] = []
-    irreducible: set[Word] = set()
     while True:
-        best = None
+        best = best_w = None
         for w in work:
-            if w in irreducible:
-                continue
-            hit = _divisor(gens, active, w)
-            if hit is None:
-                irreducible.add(w)
-                continue
-            k = order.rule_key(w)
-            if best is None or k > best[0]:
-                best = (k, w, hit)
+            hit = cache.get(w, _UNSEEN)
+            if hit is _UNSEEN:
+                if active is None:
+                    active = gb.active_rules()
+                rule = _divisor(gens, active, w)
+                hit = cache[w] = None if rule is None else (order.rule_key(w), rule)
+            if hit is not None and (best is None or hit[0] > best[0]):
+                best, best_w = hit, w
         if best is None:
             break
-        _, w, (rule, (u, v)) = best
-        c = work.pop(w)
+        rule = best[1]
+        u, v = find_division(gens, rule.lead, best_w)
+        c = work.pop(best_w)
         for tw, tc in rule.tail.terms.items():
             nw = word_mul(gens, word_mul(gens, u, tw), v)
             if len(nw) >= gb.trunc:
                 truncated = True
                 continue
-            nv = work.get(nw, Fraction(0)) + c * tc
+            nv = work.get(nw, 0) + c * tc
             if nv:
                 work[nw] = nv
             else:
@@ -248,13 +270,13 @@ def _conj(gens: GenSet, u: Word, prov: Provenance, v: Word, c: Fraction) -> Prov
     out: Provenance = {}
     for (pu, i, pv), pc in prov.items():
         key = (word_mul(gens, u, pu), i, word_mul(gens, pv, v))
-        out[key] = out.get(key, Fraction(0)) + c * pc
+        out[key] = out.get(key, 0) + c * pc
     return out
 
 
 def _prov_add(dst: Provenance, src: Provenance) -> None:
     for key, c in src.items():
-        nv = dst.get(key, Fraction(0)) + c
+        nv = dst.get(key, 0) + c
         if nv:
             dst[key] = nv
         else:
@@ -432,6 +454,7 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
             if r.active and r is not new and find_division(gens, new.lead, r.lead):
                 r.active = False
                 push(len(r.lead), ("poly", r.poly(), dict(r.prov), r.exact))
+        gb.reductions.clear()  # the active rules changed
         enqueue_cutoff_exts(new)
         # keep the remaining tails in normal form
         for r in gb.rules:
@@ -459,6 +482,7 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
                 # must commute with every noncommuting generator
                 push(len(new.lead) + 1,
                      ("comb", ((1, (x,), new.idx, ()), (-1, (), new.idx, (x,))), True))
+    gb.reductions.clear()  # return a lean system; later reductions refill it
     return gb
 
 

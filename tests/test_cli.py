@@ -64,6 +64,28 @@ def test_zoo_karmazyn_verify(capsys):
     assert fwd and all(c["status"] == "certified" for c in fwd)
 
 
+def test_zoo_length2_reports_cutoff_used(capsys, monkeypatch):
+    monkeypatch.delenv("NCDEF_MAX_DEGREE", raising=False)
+    code, doc, _ = run(capsys, "zoo", "length2")
+    assert code == 0
+    assert doc["input"]["max_degree"] == 20 and doc["input"]["cutoff"] == 8
+    code, doc, _ = run(capsys, "zoo", "length2", "--max-degree", "9")
+    assert code == 0
+    assert doc["input"]["max_degree"] == 9 and doc["input"]["cutoff"] == 9
+    assert {c["detail"]["at"] for c in doc["checks"] if "detail" in c} == {9}
+
+
+def test_zoo_karmazyn_verify_reports_cutoff_used(capsys):
+    code, doc, _ = run(
+        capsys, "zoo", "karmazyn", "--length", "2", "--verify",
+        "--max-degree", "12",
+    )
+    assert code == 0
+    assert doc["input"]["max_degree"] == 12 and doc["input"]["cutoff"] == 10
+    code, doc, _ = run(capsys, "zoo", "karmazyn", "--length", "2")
+    assert "cutoff" not in doc["input"]
+
+
 def test_matfac_verify_all(capsys):
     code, doc, _ = run(capsys, "matfac", "verify-all")
     assert code == 0 and doc["ok"]

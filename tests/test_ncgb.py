@@ -1,5 +1,21 @@
+"""Tests of the rewriting engine: division, reduction, completion, quotient
+reports and certificates.
+
+``tests/golden/rule_systems.json`` pins whole completed rule systems (lead,
+tail, provenance, exact and active flags) by digest.  To record it again
+after an intended change of behaviour, run
+
+    PYTHONPATH=src:tests python tests/test_ncgb.py
+"""
+
+import hashlib
+import json
+import pathlib
+import sys
+
 import pytest
 
+from ncdef import ncgb
 from ncdef.freealg import NcPoly, genset, word_mul, word_str
 from ncdef.ncgb import (
     DimensionUndefinedError,
@@ -16,6 +32,8 @@ from ncdef.zoo import (
     _claimed_genset,
     claimed_relation_readings,
     karmazyn_contraction_presentation,
+    laufer_presentation,
+    standard_lambda,
 )
 from oracle import brute_force_dim
 
@@ -147,6 +165,52 @@ def test_karmazyn_exact_rules_replay(name, p):
         assert expand_certificate(p, r.prov) == r.poly()
 
 
+# ------------------------------------------------------ pinned rule systems
+
+RULE_SYSTEMS = pathlib.Path(__file__).parent / "golden" / "rule_systems.json"
+
+PINNED = {
+    **{
+        f"laufer-{n}-{i}": (laufer_presentation(n, standard_lambda(n, i)), range(3, 10))
+        for n in (1, 2)
+        for i in range(2 * n + 1)
+    },
+    "laufer-1-sym": (laufer_presentation(1, ["sym", "sym"]), range(3, 10)),
+    "karmazyn-2": (karmazyn_contraction_presentation(2), range(3, 10)),
+    "karmazyn-3": (karmazyn_contraction_presentation(3), range(3, 9)),
+    "karmazyn-4": (karmazyn_contraction_presentation(4), range(3, 10)),
+}
+
+
+def _system_digest(gb):
+    """sha256 of every rule's lead, tail, provenance, exact and active flag."""
+    h = hashlib.sha256()
+    for r in gb.rules:
+        entry = (r.lead, sorted(r.tail.terms.items()), sorted(r.prov.items()),
+                 r.exact, r.active)
+        h.update(repr(entry).encode())
+    return h.hexdigest()
+
+
+def _pinned_digests(name):
+    p, cutoffs = PINNED[name]
+    return {
+        f"{name}/{n}/{'prov' if prov else 'noprov'}": _system_digest(nc_complete(p, n, prov))
+        for n in cutoffs
+        for prov in (True, False)
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_rule_system_matches_pinned(name, monkeypatch):
+    # every pinned completion pops under 200 items; a tight step limit turns
+    # a runaway completion (say, from stale cached reductions) into an error
+    monkeypatch.setattr(ncgb, "_MAX_COMPLETION_STEPS", 2_000)
+    pinned = json.loads(RULE_SYSTEMS.read_text(encoding="utf-8"))
+    got = _pinned_digests(name)
+    assert got == {k: v for k, v in pinned.items() if k.startswith(name + "/")}
+
+
 # --------------------------------------------------------- quotient reports
 
 
@@ -203,3 +267,12 @@ def test_derive_check_inconclusive_and_nonzero():
     res = derive_check(p, [A * A], trunc=8)[0]
     assert res.status == "inconclusive"
     assert not res.normal_form.is_zero()
+
+
+if __name__ == "__main__":
+    digests = {}
+    for name in sorted(PINNED):
+        digests.update(_pinned_digests(name))
+    RULE_SYSTEMS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
+                            encoding="utf-8")
+    print(f"recorded {len(digests)} rule systems", file=sys.stderr)
