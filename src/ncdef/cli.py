@@ -44,13 +44,9 @@ from .zoo import (
 DEFAULT_MAX_DEGREE = 20
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _jsonable(obj: Any) -> Any:
     if isinstance(obj, Fraction):
-        return _frac_str(obj)
+        return str(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

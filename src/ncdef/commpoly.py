@@ -102,7 +102,8 @@ class CommPoly:
 
     def __init__(self, vars: VarSet, terms: Mapping[Exponents, Fraction]):
         self.vars = vars
-        self.terms = {e: Fraction(c) for e, c in terms.items() if c}
+        self.terms = {e: c if type(c) is Fraction else Fraction(c)
+                      for e, c in terms.items() if c}
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -189,26 +190,30 @@ class CommPoly:
         return f"CommPoly({poly_str(self)})"
 
 
-def poly_str(f: CommPoly) -> str:
-    if f.is_zero():
-        return "0"
+def terms_str(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """Text of a sum of (coefficient, monomial) terms in the order given;
+    the monomial "1" is the unit, and the empty sum is "0"."""
     parts = []
-    for e in sorted(f.terms, key=lambda e: (sum(e), e), reverse=True):
-        c = f.terms[e]
-        mono = "*".join(
-            n if k == 1 else f"{n}^{k}"
-            for n, k in zip(f.vars.names, e)
-            if k
-        )
-        if not mono:
+    for c, mono in terms:
+        if mono == "1":
             body = str(abs(c))
         elif abs(c) == 1:
             body = mono
         else:
             body = f"{abs(c)}*{mono}"
         parts.append(("- " if c < 0 else "+ ") + body)
+    if not parts:
+        return "0"
     out = " ".join(parts)
     return out[2:] if out.startswith("+ ") else "-" + out[2:]
+
+
+def poly_str(f: CommPoly) -> str:
+    return terms_str(
+        (f.terms[e], "*".join(n if k == 1 else f"{n}^{k}"
+                              for n, k in zip(f.vars.names, e) if k) or "1")
+        for e in sorted(f.terms, key=lambda e: (sum(e), e), reverse=True)
+    )
 
 
 def divexact(f: CommPoly, g: CommPoly) -> Optional[CommPoly]:

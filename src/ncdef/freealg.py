@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .commpoly import CommPoly, VarSet
+from .commpoly import CommPoly, VarSet, terms_str
 
 Word = tuple[int, ...]
 
@@ -229,22 +229,10 @@ class NcPoly:
 
 def nc_str(f: NcPoly) -> str:
     """Expression text for a polynomial, parseable by ``exprparse.parse_expr``."""
-    if f.is_zero():
-        return "0"
     order = NcOrder(f.gens, "deglex")
-    parts = []
-    for w in sorted(f.terms, key=order.key):
-        c = f.terms[w]
-        mono = word_str(f.gens, w)
-        if mono == "1":
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = mono
-        else:
-            body = f"{abs(c)}*{mono}"
-        parts.append(("- " if c < 0 else "+ ") + body)
-    out = " ".join(parts)
-    return out[2:] if out.startswith("+ ") else "-" + out[2:]
+    return terms_str(
+        (f.terms[w], word_str(f.gens, w)) for w in sorted(f.terms, key=order.key)
+    )
 
 
 def commutator(f: NcPoly, g: NcPoly) -> NcPoly:

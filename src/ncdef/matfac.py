@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .commpoly import CommPoly, divexact, partials, substitute, varset
+from .ncgb import InternalConsistencyError
 
 SVARS = varset("x", "y", "z", "t", "u", "v", "w")
 
@@ -171,7 +172,7 @@ def in_image(mat: PolyMatrix) -> bool:
     if g is None:
         return False
     if not (PHI @ g == mat):  # re-derive the membership from the witness
-        raise AssertionError("cofactor witness failed to reproduce the matrix")
+        raise InternalConsistencyError("cofactor witness failed to reproduce the matrix")
     return True
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .commpoly import CommPoly, GrlexOrder, VarSet, groebner, monomials_of_degree
 from .freealg import (
@@ -44,10 +44,6 @@ from .ncgb import (
 )
 
 LambdaEntry = Union[Fraction, int, str]  # a rational or the token "sym"
-
-
-def _gen(gens: GenSet, name: str) -> NcPoly:
-    return NcPoly.gen(gens, name)
 
 
 # -- deformed anticommuting family ------------------------------------------
@@ -76,11 +72,11 @@ def laufer_presentation(n: int, lam: Sequence[LambdaEntry]) -> Presentation:
     else:
         gens = genset(["a", "b"], weights=[2 * n + 1, 2])
         order = "wdeglex"
-    a, b = _gen(gens, "a"), _gen(gens, "b")
+    a, b = NcPoly.gen(gens, "a"), NcPoly.gen(gens, "b")
     rel2 = a * a + b ** (2 * n + 1)
     for i, v in enumerate(lam):
         if isinstance(v, str):
-            rel2 = rel2 + _gen(gens, f"l{i+1}") * b ** (2 * (i + 1))
+            rel2 = rel2 + NcPoly.gen(gens, f"l{i+1}") * b ** (2 * (i + 1))
         elif Fraction(v):
             rel2 = rel2 + (b ** (2 * (i + 1))).scale(Fraction(v))
     return Presentation(gens, (a * b + b * a, rel2), order)
@@ -102,14 +98,19 @@ def _length2_gens() -> GenSet:
     return genset(["t", "a", "b"], central=["t"])
 
 
+def _length2_relations(g: GenSet) -> list[tuple[str, NcPoly]]:
+    """The three claimed relations of the length-2 algebra, labelled."""
+    t, a, b = (NcPoly.gen(g, n) for n in ("t", "a", "b"))
+    return [
+        ("t*a*b-t*b*a", t * a * b - t * b * a),
+        ("a*b^2-b^2*a", a * b * b - b * b * a),
+        ("a^2*b-b*a^2", a * a * b - b * a * a),
+    ]
+
+
 def length2_claimed_presentation() -> Presentation:
     g = _length2_gens()
-    t, a, b = (_gen(g, n) for n in ("t", "a", "b"))
-    return Presentation(
-        g,
-        (t * a * b - t * b * a, a * b * b - b * b * a, a * a * b - b * a * a),
-        "deglex",
-    )
+    return Presentation(g, tuple(r for _, r in _length2_relations(g)), "deglex")
 
 
 def length2_central_elements() -> dict[str, NcPoly]:
@@ -117,7 +118,7 @@ def length2_central_elements() -> dict[str, NcPoly]:
     t, a, b: u = -a^2, w = -b^2, v = -(ab+ba)/2, y = tb, z = -ta,
     x = -tba - vt."""
     g = _length2_gens()
-    t, a, b = (_gen(g, n) for n in ("t", "a", "b"))
+    t, a, b = (NcPoly.gen(g, n) for n in ("t", "a", "b"))
     v = (a * b + b * a).scale(Fraction(-1, 2))
     return {
         "u": -(a * a),
@@ -161,6 +162,25 @@ class Length2Report:
         )
 
 
+def _centrality_claims(
+    elems: Iterable[tuple[str, NcPoly]], g: GenSet, names: Sequence[str]
+) -> list[tuple[str, NcPoly]]:
+    """The nonzero commutators [x, n] of each labelled element x with each
+    named generator n, labelled "[label,n]"."""
+    coms = ((f"[{label},{n}]", commutator(x, NcPoly.gen(g, n)))
+            for label, x in elems for n in names)
+    return [(label, com) for label, com in coms if not com.is_zero()]
+
+
+def _certify(
+    p: Presentation, claims: Sequence[tuple[str, NcPoly]], trunc: int
+) -> list[SuiteCheck]:
+    """Check every labelled claim for membership in p's ideal, with one
+    completion of p."""
+    results = derive_check(p, [c for _, c in claims], trunc)
+    return [SuiteCheck(label, r.status, r) for (label, _), r in zip(claims, results)]
+
+
 def length2_universal_suite(trunc: int = 8) -> Length2Report:
     """Verify the universal length-2 algebra both ways: the three claimed
     relations from the centrality of the derived elements, and those
@@ -170,34 +190,17 @@ def length2_universal_suite(trunc: int = 8) -> Length2Report:
     if trunc < 8:
         raise ValueError("trunc must be >= 8")
     g = _length2_gens()
-    t, a, b = (_gen(g, n) for n in ("t", "a", "b"))
-    claimed = length2_claimed_presentation()
+    t = NcPoly.gen(g, "t")
+    relations = _length2_relations(g)
+    claimed = Presentation(g, tuple(r for _, r in relations), "deglex")
     elems = length2_central_elements()
-    centrality: list[tuple[str, NcPoly]] = []
-    for name, e in elems.items():
-        for gname in ("a", "b"):
-            com = commutator(e, _gen(g, gname))
-            if not com.is_zero():
-                centrality.append((f"[{name},{gname}]", com))
+    centrality = _centrality_claims(elems.items(), g, ("a", "b"))
     derived = Presentation(g, tuple(c for _, c in centrality), "deglex")
-
-    forward = []
-    for (label, res) in zip(
-        ("t*a*b-t*b*a", "a*b^2-b^2*a", "a^2*b-b*a^2"),
-        derive_check(derived, claimed.relations, trunc),
-    ):
-        forward.append(SuiteCheck(label, res.status, res))
-    backward = []
-    for (label, _), res in zip(
-        centrality, derive_check(claimed, [c for _, c in centrality], trunc)
-    ):
-        backward.append(SuiteCheck(label, res.status, res))
-
+    forward = _certify(derived, relations, trunc)
+    backward = _certify(claimed, centrality, trunc)
     abelianized = [
         SuiteCheck(label, "pass" if nc_abelianize(r).is_zero() else "fail")
-        for label, r in zip(
-            ("t*a*b-t*b*a", "a*b^2-b^2*a", "a^2*b-b*a^2"), claimed.relations
-        )
+        for label, r in relations
     ]
 
     u, w, v, y, z, x = (elems[k] for k in ("u", "w", "v", "y", "z", "x"))
@@ -226,7 +229,7 @@ def laufer_specialization_check(
     if len(lam) != 2 * n:
         raise ValueError(f"need 2n = {2*n} lambda entries")
     g = _length2_gens()
-    t, a, b = (_gen(g, n_) for n_ in ("t", "a", "b"))
+    t, a, b = (NcPoly.gen(g, n_) for n_ in ("t", "a", "b"))
     deform = t * b
     target = a * a + b ** (2 * n + 1)
     for i, v in enumerate(lam):
@@ -235,14 +238,8 @@ def laufer_specialization_check(
             target = target + (b ** (2 * (i + 1))).scale(v)
     p = Presentation(
         g,
-        (
-            t * a * b - t * b * a,
-            a * b * b - b * b * a,
-            a * a * b - b * a * a,
-            t - b ** (2 * n),
-            a * b + b * a,
-            a * a + deform,
-        ),
+        tuple(r for _, r in _length2_relations(g))
+        + (t - b ** (2 * n), a * b + b * a, a * a + deform),
         "deglex",
     )
     claims = [
@@ -252,73 +249,87 @@ def laufer_specialization_check(
         ("t*a*b", t * a * b),
         ("t*b*a", t * b * a),
     ]
-    results = derive_check(p, [c for _, c in claims], trunc)
-    return [SuiteCheck(label, r.status, r) for (label, _), r in zip(claims, results)]
+    return _certify(p, claims, trunc)
 
 
 # -- higher-length contraction algebras -------------------------------------
 
+# Each relation of the length-l contraction algebra says that a central
+# expression X in t, b, c equals a signed parameter.  Row l gives, relation
+# by relation, the signed index k: X = u_k for k > 0, X = -u_|k| for k < 0.
+_CONSTANTS = {2: (1, 2, 3), 3: (1, 3, 5), 4: (1, 2, 5), 5: (-4, -5, 1), 6: (1, 2, 4)}
+
+
+def _central_expressions(l: int, g: GenSet) -> list[tuple[str, NcPoly]]:
+    """The labelled central expressions of the length-l contraction algebra,
+    over any generator set holding t, b, c and the parameters they use; the
+    affine generator d is eliminated as t/l - b - c (t/5 + b at l = 5)."""
+    if l not in _CONSTANTS:
+        raise ValueError("length must be in 2..6")
+    t, b, c = (NcPoly.gen(g, n) for n in ("t", "b", "c"))
+    u = {int(n[1:]): NcPoly.gen(g, n) for n in g.names if n.startswith("u")}
+    d = t.scale(Fraction(1, l)) + (b if l == 5 else -b - c)
+    if l == 2:
+        return [("b^2", b * b), ("c^2", c * c), ("d^2", d * d)]
+    if l == 3:
+        return [
+            ("b^3-u2*b", b ** 3 - u[2] * b),
+            ("c^3-u4*c", c ** 3 - u[4] * c),
+            ("d^2", d * d),
+        ]
+    if l == 4:
+        return [
+            ("b^2", b * b),
+            ("c^4-u4*c^2-u3*c", c ** 4 - u[4] * c * c - u[3] * c),
+            ("d^3-u6*d", d ** 3 - u[6] * d),
+        ]
+    if l == 5:
+        cb2 = c + b * b
+        return [
+            ("cbc+bc^2+b^3c+u7*bc+u6*c",
+             c * b * c + b * c * c + b ** 3 * c + u[7] * b * c + u[6] * c),
+            ("(c+b^2)^2+bcb+u7*(c+b^2)+u6*b",
+             cb2 * cb2 + b * c * b + u[7] * cb2 + u[6] * b),
+            ("d^4-u3*d^2-u2*d", d ** 4 - u[3] * d * d - u[2] * d),
+        ]
+    return [
+        ("b^2", b * b),
+        ("c^3-u3*c", c ** 3 - u[3] * c),
+        ("d^5-u7*d^3-u6*d^2-u5*d",
+         d ** 5 - u[7] * d ** 3 - u[6] * d * d - u[5] * d),
+    ]
+
+
 def karmazyn_contraction_presentation(l: int) -> Presentation:
     """Contraction-algebra presentation for length l, with the affine
-    generator d eliminated by its expression in t, b, c.
+    generator d eliminated by its expression in t, b, c: each relation is a
+    central expression minus its signed parameter.
 
     l = 1 degenerates to the presentation <no noncommuting generators | t>,
     whose quotient is the ground field.
     """
     if l == 1:
         g = genset(["t"], central=["t"], commutative=True)
-        return Presentation(g, (_gen(g, "t"),), "deglex")
-    if l not in (2, 3, 4, 5, 6):
+        return Presentation(g, (NcPoly.gen(g, "t"),), "deglex")
+    if l not in _CONSTANTS:
         raise ValueError("length must be in 1..6")
     nu = {2: 3, 3: 5, 4: 6, 5: 7, 6: 7}[l]
     names = ["t"] + [f"u{i}" for i in range(1, nu + 1)] + ["b", "c"]
     g = genset(names, central=names[: nu + 1])
-    t, b, c = _gen(g, "t"), _gen(g, "b"), _gen(g, "c")
-    u = {i: _gen(g, f"u{i}") for i in range(1, nu + 1)}
-    if l == 5:
-        d = t.scale(Fraction(1, 5)) + b
-    else:
-        d = t.scale(Fraction(1, l)) - b - c
-    if l == 2:
-        rels = (b * b - u[1], c * c - u[2], d * d - u[3])
-    elif l == 3:
-        rels = (
-            b ** 3 - u[2] * b - u[1],
-            c ** 3 - u[4] * c - u[3],
-            d * d - u[5],
-        )
-    elif l == 4:
-        rels = (
-            b * b - u[1],
-            c ** 4 - u[4] * c * c - u[3] * c - u[2],
-            d ** 3 - u[6] * d - u[5],
-        )
-    elif l == 5:
-        cb2 = c + b * b
-        rels = (
-            c * b * c + b * c * c + b ** 3 * c + u[7] * b * c + u[6] * c + u[4],
-            cb2 * cb2 + b * c * b + u[7] * cb2 + u[6] * b + u[5],
-            d ** 4 - u[3] * d * d - u[2] * d - u[1],
-        )
-    else:  # l == 6
-        rels = (
-            b * b - u[1],
-            c ** 3 - u[3] * c - u[2],
-            d ** 5 - u[7] * d ** 3 - u[6] * d * d - u[5] * d - u[4],
-        )
+    rels = tuple(
+        x - NcPoly.gen(g, f"u{abs(k)}").scale(1 if k > 0 else -1)
+        for (_, x), k in zip(_central_expressions(l, g), _CONSTANTS[l])
+    )
     return Presentation(g, rels, "deglex")
 
 
 def _claimed_genset(l: int) -> GenSet:
-    params = {
-        2: [],
-        3: ["u2", "u4"],
-        4: ["u3", "u4", "u6"],
-        5: ["u2", "u3", "u6", "u7"],
-        6: ["u3", "u5", "u6", "u7"],
-    }[l]
+    """t, then the parameters the central expressions use, then b and c."""
+    g = karmazyn_contraction_presentation(l).gens
+    used = {i for _, x in _central_expressions(l, g) for w in x.terms for i in w}
+    params = [n for i, n in enumerate(g.names) if i in used and n.startswith("u")]
     names = ["t"] + params + ["b", "c"]
-    return genset(names, central=names[: len(params) + 1])
+    return genset(names, central=names[:-2])
 
 
 def claimed_relation_readings(l: int) -> list[list[tuple[str, NcPoly]]]:
@@ -328,10 +339,8 @@ def claimed_relation_readings(l: int) -> list[list[tuple[str, NcPoly]]]:
     if l not in (2, 3, 4, 5, 6):
         raise ValueError("length must be in 2..6")
     g = _claimed_genset(l)
-    t, b, c = _gen(g, "t"), _gen(g, "b"), _gen(g, "c")
-    u = {
-        int(n[1:]): _gen(g, n) for n in g.names if n.startswith("u")
-    }
+    t, b, c = (NcPoly.gen(g, n) for n in ("t", "b", "c"))
+    u = {int(n[1:]): NcPoly.gen(g, n) for n in g.names if n.startswith("u")}
     bc = b * c - c * b
     if l == 2:
         return [
@@ -462,65 +471,19 @@ def claimed_relation_readings(l: int) -> list[list[tuple[str, NcPoly]]]:
 
 def corrected_relation(l: int, slot: int) -> Optional[NcPoly]:
     """Engine-derived replacement for a claimed relation: the commutator of a
-    generator with the central element obtained from the eliminated
-    generator's minimal polynomial, computed symbolically (None when no
-    correction is defined for the slot)."""
+    generator with the central expression from the eliminated generator's
+    minimal polynomial (None when no correction is defined for the slot)."""
+    if slot != 2 or l not in (5, 6):
+        return None
     g = _claimed_genset(l)
-    t, b, c = _gen(g, "t"), _gen(g, "b"), _gen(g, "c")
-    u = {int(n[1:]): _gen(g, n) for n in g.names if n.startswith("u")}
-    if l == 5 and slot == 2:
-        d = t.scale(Fraction(1, 5)) + b
-        x5 = d ** 4 - u[3] * d * d - u[2] * d
-        return commutator(c, x5)
-    if l == 6 and slot == 2:
-        d = t.scale(Fraction(1, 6)) - b - c
-        x6 = d ** 5 - u[7] * d ** 3 - u[6] * d * d - u[5] * d
-        return commutator(b, x6)
-    return None
+    return commutator(NcPoly.gen(g, "c" if l == 5 else "b"),
+                      _central_expressions(l, g)[2][1])
 
 
 def backward_central_expressions(l: int) -> list[tuple[str, NcPoly]]:
     """The non-parameter central expressions of each eliminated presentation,
     written over the claimed generator set."""
-    g = _claimed_genset(l)
-    t, b, c = _gen(g, "t"), _gen(g, "b"), _gen(g, "c")
-    u = {int(n[1:]): _gen(g, n) for n in g.names if n.startswith("u")}
-    if l == 2:
-        d = t.scale(Fraction(1, 2)) - b - c
-        return [("b^2", b * b), ("c^2", c * c), ("d^2", d * d)]
-    if l == 3:
-        d = t.scale(Fraction(1, 3)) - b - c
-        return [
-            ("b^3-u2*b", b ** 3 - u[2] * b),
-            ("c^3-u4*c", c ** 3 - u[4] * c),
-            ("d^2", d * d),
-        ]
-    if l == 4:
-        d = t.scale(Fraction(1, 4)) - b - c
-        return [
-            ("b^2", b * b),
-            ("c^4-u4*c^2-u3*c", c ** 4 - u[4] * c * c - u[3] * c),
-            ("d^3-u6*d", d ** 3 - u[6] * d),
-        ]
-    if l == 5:
-        d = t.scale(Fraction(1, 5)) + b
-        cb2 = c + b * b
-        return [
-            ("cbc+bc^2+b^3c+u7*bc+u6*c",
-             c * b * c + b * c * c + b ** 3 * c + u[7] * b * c + u[6] * c),
-            ("(c+b^2)^2+bcb+u7*(c+b^2)+u6*b",
-             cb2 * cb2 + b * c * b + u[7] * cb2 + u[6] * b),
-            ("d^4-u3*d^2-u2*d", d ** 4 - u[3] * d * d - u[2] * d),
-        ]
-    if l == 6:
-        d = t.scale(Fraction(1, 6)) - b - c
-        return [
-            ("b^2", b * b),
-            ("c^3-u3*c", c ** 3 - u[3] * c),
-            ("d^5-u7*d^3-u6*d^2-u5*d",
-             d ** 5 - u[7] * d ** 3 - u[6] * d * d - u[5] * d),
-        ]
-    raise ValueError("length must be in 2..6")
+    return _central_expressions(l, _claimed_genset(l))
 
 
 def _transport(f: NcPoly, target: GenSet) -> NcPoly:
@@ -600,19 +563,10 @@ def verify_higher_length(l: int, trunc: int = 8) -> HigherLengthReport:
         forward.append(RelationVerdict(si, hit, statuses, cstat))
 
     backward: list[SuiteCheck] = []
-    g = _claimed_genset(l)
     if len(chosen) == len(slots):
-        claimed_pres = Presentation(g, tuple(chosen), "deglex")
-        claims = []
-        for name, e in backward_central_expressions(l):
-            for gname in ("b", "c"):
-                com = commutator(e, _gen(g, gname))
-                if not com.is_zero():
-                    claims.append((f"[{name},{gname}]", com))
-        results = derive_check(claimed_pres, [c for _, c in claims], trunc)
-        backward = [
-            SuiteCheck(label, r.status, r) for (label, _), r in zip(claims, results)
-        ]
+        g = _claimed_genset(l)
+        claims = _centrality_claims(_central_expressions(l, g), g, ("b", "c"))
+        backward = _certify(Presentation(g, tuple(chosen), "deglex"), claims, trunc)
     return HigherLengthReport(l, forward, backward, corrected)
 
 
@@ -746,7 +700,7 @@ def superpotential_check(n: int, lam: Sequence[LambdaEntry]) -> SuperpotentialRe
     if len(lam) != 2 * n:
         raise ValueError(f"need 2n = {2*n} lambda entries")
     g = genset(["a", "b", "c", "d", "w"])
-    a, b, c, d, w = (_gen(g, x) for x in "abcdw")
+    a, b, c, d, w = (NcPoly.gen(g, x) for x in "abcdw")
     pot = (
         (d * c * d * c).scale(Fraction(1, 2))
         + b * b * d * c

@@ -241,3 +241,18 @@ def test_certificate_replay_failure_is_one_line_error(monkeypatch, capsys):
                          "--max-degree", "8")
     assert code == 2 and doc is None and _one_line_error(cap)
     assert "replay" in cap.err
+
+
+def test_matfac_witness_failure_is_one_line_error(monkeypatch, capsys):
+    from ncdef import matfac
+
+    real = matfac.cofactor
+
+    def doubled(mat):
+        g = real(mat)
+        return None if g is None else g + g
+
+    monkeypatch.setattr(matfac, "cofactor", doubled)
+    code, doc, cap = run(capsys, "matfac", "verify-all")
+    assert code == 2 and doc is None and _one_line_error(cap)
+    assert "witness" in cap.err

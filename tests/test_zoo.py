@@ -1,13 +1,18 @@
+import json
+import pathlib
+import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
 
-from ncdef.freealg import NcPoly, genset, nc_abelianize
+from ncdef.freealg import NcPoly, genset, nc_abelianize, nc_str
 from ncdef.ncgb import quadratic_classify, quotient_report
 from ncdef.zoo import (
     SuiteCheck,
     backward_central_expressions,
     claimed_relation_readings,
+    corrected_relation,
     cyclic_derivative,
     invariant_table,
     karmazyn_contraction_presentation,
@@ -121,7 +126,8 @@ def test_claimed_generator_counts_match_splitting_type(l):
     from ncdef.bundle import contraction_splitting_type, cohomology_dims
     from ncdef.zoo import _claimed_genset
 
-    # the two-generator presentations after eliminating redundant parameters
+    # the two-generator presentations after eliminating redundant parameters:
+    # for l >= 3, t, the parameters the central expressions use, and b, c
     gens = (
         length2_claimed_presentation().gens if l == 2 else _claimed_genset(l)
     )
@@ -203,6 +209,50 @@ def test_claimed_readings_and_backward_expressions_nonempty(l):
     assert backward_central_expressions(l)
 
 
+# ----------------------------------------------------- pinned family data
+
+ZOO_DATA = pathlib.Path(__file__).parent / "golden" / "zoo_data.json"
+
+
+def _zoo_data():
+    """Every presentation, claimed reading, backward expression, correction
+    and claimed generator set of the families, as text."""
+    from ncdef.zoo import _claimed_genset
+
+    def pres(p):
+        return {"gens": asdict(p.gens), "order": p.order,
+                "relations": [nc_str(r) for r in p.relations]}
+
+    return {
+        "karmazyn": {l: pres(karmazyn_contraction_presentation(l)) for l in range(1, 7)},
+        "readings": {
+            l: [[[name, nc_str(f)] for name, f in slot]
+                for slot in claimed_relation_readings(l)]
+            for l in range(2, 7)
+        },
+        "backward": {
+            l: [[label, nc_str(x)] for label, x in backward_central_expressions(l)]
+            for l in range(2, 7)
+        },
+        "corrected": {
+            l: [None if f is None else nc_str(f)
+                for f in (corrected_relation(l, s) for s in range(3))]
+            for l in range(2, 7)
+        },
+        "claimed_genset": {l: asdict(_claimed_genset(l)) for l in range(2, 7)},
+        "length2_claimed": pres(length2_claimed_presentation()),
+        "length2_central": {k: nc_str(f) for k, f in length2_central_elements().items()},
+    }
+
+
+def _zoo_data_text():
+    return json.dumps(_zoo_data(), indent=1, sort_keys=True) + "\n"
+
+
+def test_zoo_data_matches_pinned():
+    assert _zoo_data_text() == ZOO_DATA.read_text(encoding="utf-8")
+
+
 # ------------------------------------------------------------- invariants
 
 
@@ -258,3 +308,8 @@ def test_suitecheck_ok_values():
     assert SuiteCheck("x", "pass").ok
     assert SuiteCheck("x", "certified-zero").ok
     assert not SuiteCheck("x", "inconclusive").ok
+
+
+if __name__ == "__main__":
+    ZOO_DATA.write_text(_zoo_data_text(), encoding="utf-8")
+    print(f"recorded {ZOO_DATA.name}", file=sys.stderr)
