@@ -3,9 +3,10 @@
 Subcommands: ``zoo`` (laufer | length2 | karmazyn), ``gb``, ``matfac``,
 ``bundle``, ``identities``.  Exit status: 0 when every executed check passed
 (or the command only reports a derivation), 1 on a check failure, 2 on a
-usage or parse error or when the engine cannot finish (the completion step
-limit is exceeded, or two independent computations disagree, such as a
-certificate that does not replay); each exit-2 error is one line on stderr.
+usage or parse error, an unwritable ``--out`` path, or when the engine cannot
+finish (the completion step limit is exceeded, or two independent
+computations disagree, such as a certificate that does not replay); each
+exit-2 error is one line on stderr.
 ``NCDEF_MAX_DEGREE`` overrides the default truncation degree.
 """
 
@@ -94,6 +95,10 @@ def _parse_lambda(text: str, n: int) -> list:
             except ValueError:
                 raise argparse.ArgumentTypeError(
                     f"lambda entry {e!r} is neither a rational nor 'sym'"
+                ) from None
+            except ZeroDivisionError:
+                raise argparse.ArgumentTypeError(
+                    f"lambda entry {e!r} has a zero denominator"
                 ) from None
     if len(out) != 2 * n:
         raise argparse.ArgumentTypeError(
@@ -345,8 +350,12 @@ def run_command(argv: list[str]) -> tuple[int, Optional[dict[str, Any]]]:
     doc["timing_ms"] = round((time.monotonic() - t0) * 1000.0, 3)
     text = render_json(doc) if args.report == "json" else render_text(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"ncdef: error: {exc}", file=sys.stderr)
+            return 2, None
     else:
         sys.stdout.write(text)
     return (0 if doc["ok"] else 1), doc

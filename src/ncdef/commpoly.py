@@ -431,6 +431,27 @@ class QuotientBasis:
     dim: int
 
 
+def _standard_levels(
+    nvars: int, leads: Sequence[Exponents], maxdeg: int
+) -> list[list[Exponents]]:
+    """Monomials that no lead divides, by total degree: ``levels[d]`` for
+    d <= maxdeg, each sorted.
+
+    Every monomial of degree d+1 is a monomial of degree d times a variable,
+    and a lead dividing the smaller one divides the larger, so extending only
+    the standard monomials of degree d reaches every one of degree d+1.
+    """
+    levels: list[list[Exponents]] = []
+    cands = {(0,) * nvars}
+    for _ in range(maxdeg + 1):
+        levels.append(
+            sorted(e for e in cands if not any(_exps_divides(l, e) for l in leads))
+        )
+        cands = {e[:i] + (e[i] + 1,) + e[i + 1:]
+                 for e in levels[-1] for i in range(nvars)}
+    return levels
+
+
 def quotient_basis(gb: CommGB, bound: int) -> QuotientBasis:
     """Order-irreducible monomials of total degree < bound.
 
@@ -439,43 +460,14 @@ def quotient_basis(gb: CommGB, bound: int) -> QuotientBasis:
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    nvars = len(gb.order.vars)
-    leads = [e for e, _ in gb.leads]
-    irreducible: list[Exponents] = []
-    frontier = [(0,) * nvars]
-    top_counts = {}
-    for deg in range(bound):
-        frontier = [e for e in frontier if not any(_exps_divides(l, e) for l in leads)]
-        irreducible.extend(frontier)
-        top_counts[deg] = len(frontier)
-        nxt = set()
-        for e in frontier:
-            for i in range(nvars):
-                ne = list(e)
-                ne[i] += 1
-                nxt.add(tuple(ne))
-        frontier = sorted(nxt)
-    finite = (
-        bound >= 2
-        and top_counts.get(bound - 1, 1) == 0
-        and top_counts.get(bound - 2, 1) == 0
-    )
-    irreducible.sort(key=lambda e: (sum(e), e))
-    return QuotientBasis(irreducible, finite, len(irreducible))
+    levels = _standard_levels(len(gb.order.vars), [e for e, _ in gb.leads], bound - 1)
+    finite = bound >= 2 and not levels[-1] and not levels[-2]
+    monomials = [e for level in levels for e in level]
+    return QuotientBasis(monomials, finite, len(monomials))
 
 
 def monomials_of_degree(vars: VarSet, deg: int) -> list[Exponents]:
-    nvars = len(vars)
-
-    def rec(i: int, rem: int):
-        if i == nvars - 1:
-            yield (rem,)
-            return
-        for k in range(rem + 1):
-            for rest in rec(i + 1, rem - k):
-                yield (k,) + rest
-
-    return [e for e in rec(0, deg)]
+    return _standard_levels(len(vars), (), deg)[deg]
 
 
 def graded_dims(degrees: Iterable[int]) -> list[int]:
@@ -496,7 +488,6 @@ class LocalReport:
     certified_at: Optional[int]
     graded_dims: list[int]
     basis: list[Exponents]
-    reduced_gb: Optional[CommGB]
 
 
 def local_report(
@@ -508,14 +499,13 @@ def local_report(
         raise ValueError(f"the maximum cutoff must be >= 2, got {maxN}")
     vars = order.vars
     prev: Optional[QuotientBasis] = None
-    prev_gb = None
     for N in range(2, maxN + 1):
         cut = [CommPoly.monomial(vars, e) for e in monomials_of_degree(vars, N)]
         gb = groebner(list(gens) + cut, order)
         qb = quotient_basis(gb, N)
         if prev is not None and prev.dim == qb.dim:
             gd = graded_dims(sum(e) for e in prev.monomials)
-            return LocalReport("finite", prev.dim, N - 1, gd, prev.monomials, prev_gb)
-        prev, prev_gb = qb, gb
+            return LocalReport("finite", prev.dim, N - 1, gd, prev.monomials)
+        prev = qb
     gd = graded_dims(sum(e) for e in prev.monomials)
-    return LocalReport("not-finite", prev.dim, None, gd, prev.monomials, prev_gb)
+    return LocalReport("not-finite", prev.dim, None, gd, prev.monomials)

@@ -126,7 +126,10 @@ class _ExprParser:
     def _atom(self) -> NcPoly:
         tok = self._next()
         if tok.kind == "number":
-            return NcPoly.const(self.gens, Fraction(tok.text))
+            try:
+                return NcPoly.const(self.gens, Fraction(tok.text))
+            except ZeroDivisionError:
+                self._fail("zero denominator", tok)
         if tok.kind == "name":
             if tok.text not in self.gens.names:
                 self._fail(f"unknown generator {tok.text!r}", tok)

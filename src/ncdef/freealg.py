@@ -274,18 +274,6 @@ def nc_substitute(f: NcPoly, images: Mapping[str, NcPoly]) -> NcPoly:
     return out
 
 
-def nc_component(f: NcPoly, d: int, mode: str = "length") -> NcPoly:
-    """Homogeneous part of f: plain word length or weighted degree."""
-    if mode == "length":
-        deg = len
-    elif mode == "weight":
-        def deg(w):  # noqa: E731-style inline helper
-            return word_weight(f.gens, w)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return NcPoly(f.gens, {w: c for w, c in f.terms.items() if deg(w) == d})
-
-
 def nc_abelianize(f: NcPoly) -> CommPoly:
     """Image under the monoid map word -> exponent vector."""
     vars = VarSet(f.gens.names)

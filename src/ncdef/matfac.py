@@ -104,11 +104,7 @@ class PolyMatrix:
         return f"PolyMatrix({self.shape[0]}x{self.shape[1]})"
 
 
-def _m(entries) -> PolyMatrix:
-    return PolyMatrix(entries)
-
-
-XI = _m([
+XI = PolyMatrix([
     [-_v * _t, _y, _z, _t],
     [-_u * _y - (_v * _z).scale(2), _v * _t, -_u * _t, _z],
     [-_w * _z, _w * _t, -_v * _t, -_y],
@@ -118,23 +114,23 @@ XI = _m([
 PHI = PolyMatrix.identity(4, _x) - XI
 PSI = PolyMatrix.identity(4, _x) + XI
 
-A_MAT = _m([
+A_MAT = PolyMatrix([
     [_0, _1, _0, _0],
     [-_u, _0, _0, _0],
     [-_v.scale(2), _0, _0, _1],
     [_0, _v.scale(2), -_u, _0],
 ])
 
-B_MAT = _m([
+B_MAT = PolyMatrix([
     [_0, _0, _1, _0],
     [_0, _0, _0, -_1],
     [-_w, _0, _0, _0],
     [_0, _w, _0, _0],
 ])
 
-C_MAT = _m([[_x - _v * _t, _y, _z, _t]])
+C_MAT = PolyMatrix([[_x - _v * _t, _y, _z, _t]])
 
-D_MAT = _m([[_0], [_0], [_0], [_1]])
+D_MAT = PolyMatrix([[_0], [_0], [_0], [_1]])
 
 
 def mf_verify() -> bool:
@@ -202,21 +198,21 @@ def matrix_identity_suite() -> dict[str, bool]:
 
 
 # Expected residuals of the three congruences below, written out entrywise.
-_RESIDUAL_Y = _m([
+_RESIDUAL_Y = PolyMatrix([
     [_y, _0, -_t, _0],
     [-_x + _v * _t, _0, -_z, _0],
     [_w * _t, _0, _y, _0],
     [-_w * _z, _0, _x - _v * _t, _0],
 ])
 
-_RESIDUAL_Z = _m([
+_RESIDUAL_Z = PolyMatrix([
     [_z, _t, _0, _0],
     [-_u * _t, _z, _0, _0],
     [-_x - _v * _t, -_y, _0, _0],
     [_u * _y + (_v * _z).scale(2), -_x + _v * _t, _0, _0],
 ])
 
-_RESIDUAL_X = _m([
+_RESIDUAL_X = PolyMatrix([
     [_0, -_y, -_z, _0],
     [_0, _x - _v * _t, _u * _t, _0],
     [_0, -_w * _t, _x + _v * _t, _0],
@@ -247,18 +243,10 @@ def generator_identity_suite() -> dict[str, bool]:
         - dc @ A_MAT
     )
     ba = B_MAT @ A_MAT
-    r_x = (
-        PolyMatrix.identity(4, _x + _v * _t)
-        + ba.scale(_t)
-        + dc @ A_MAT @ B_MAT
-        - ba @ dc
-    )
-    r_x_swapped = (
-        PolyMatrix.identity(4, _x + _v * _t)
-        + ba.scale(_t)
-        - dc @ A_MAT @ B_MAT
-        + ba @ dc
-    )
+    x_base = PolyMatrix.identity(4, _x + _v * _t) + ba.scale(_t)
+    x_products = dc @ A_MAT @ B_MAT - ba @ dc
+    r_x = x_base + x_products
+    r_x_swapped = x_base - x_products
     return {
         "y_residual_matches": r_y == _RESIDUAL_Y,
         "y_in_image": in_image(r_y),

@@ -41,7 +41,7 @@ from .freealg import (
     word_split,
     word_weight,
 )
-from .linalg import RowSpace, nullspace
+from .linalg import nullspace
 
 # A provenance maps (left word, relation index, right word) -> coefficient,
 # representing the two-sided combination  sum c * u * relation_i * v.
@@ -136,9 +136,6 @@ class TruncatedGB:
     def active_rules(self) -> list[RewriteRule]:
         return [r for r in self.rules if r.active]
 
-    def lead_words(self) -> list[Word]:
-        return sorted((r.lead for r in self.active_rules()), key=self.order.key)
-
 
 def find_division(gens: GenSet, lead: Word, w: Word) -> Optional[tuple[Word, Word]]:
     """Leftmost division ``w = u * lead * v`` on canonical words, or None.
@@ -214,16 +211,17 @@ class ReduceResult:
     truncated: bool
 
 
-def nc_reduce(f: NcPoly, gb: TruncatedGB, with_trace: bool = False) -> ReduceResult:
+def nc_reduce(f: NcPoly, gb: TruncatedGB) -> ReduceResult:
     """Normal form of ``f`` modulo the active rules and the length cutoff.
 
     Each step rewrites the reducible term with the largest rule key (the
     lowest-degree one), using the lowest-index applicable rule at its leftmost
-    occurrence; replacement words of length >= ``trunc`` are dropped and
-    recorded in ``truncated``.  Which rule divides a word, and the word's
-    rule key, are looked up in ``gb.reductions`` and computed only for words
-    not seen since the active rules last changed; the division itself is
-    found only for the word a step rewrites.
+    occurrence; the returned trace records each step as ``(c, u, rule index,
+    v)``.  Replacement words of length >= ``trunc`` are dropped and recorded
+    in ``truncated``.  Which rule divides a word, and the word's rule key, are
+    looked up in ``gb.reductions`` and computed only for words not seen since
+    the active rules last changed; the division itself is found only for the
+    word a step rewrites.
     """
     gens, order, cache = gb.gens, gb.order, gb.reductions
     active: Optional[list[RewriteRule]] = None
@@ -261,8 +259,7 @@ def nc_reduce(f: NcPoly, gb: TruncatedGB, with_trace: bool = False) -> ReduceRes
                 work[nw] = nv
             else:
                 del work[nw]
-        if with_trace:
-            trace.append((c, u, rule.idx, v))
+        trace.append((c, u, rule.idx, v))
     return ReduceResult(NcPoly(gens, work), trace, truncated)
 
 
@@ -434,7 +431,7 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
             raise RuntimeError("completion step limit exceeded")
         _, _, item = heapq.heappop(heap)
         poly, exact = build(item)
-        red = nc_reduce(poly, gb, with_trace=True)
+        red = nc_reduce(poly, gb)
         if red.poly.is_zero():
             continue
         # nothing has changed gb.rules since the pop, so the provenance
@@ -460,7 +457,7 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         for r in gb.rules:
             if not r.active or r is new:
                 continue
-            rr = nc_reduce(r.tail, gb, with_trace=True)
+            rr = nc_reduce(r.tail, gb)
             if rr.trace or rr.truncated:
                 r.tail = rr.poly
                 r.exact = (
@@ -599,14 +596,13 @@ def derive_check(
     gb = nc_complete(p, trunc, provenance=True)
     out = []
     for f in claims:
-        red = nc_reduce(f, gb, with_trace=True)
+        red = nc_reduce(f, gb)
+        cert: Provenance = {}
         if (
             red.poly.is_zero()
             and not red.truncated
-            and _fold_trace(gb, red.trace, None, 1)
+            and _fold_trace(gb, red.trace, cert, 1)
         ):
-            cert: Provenance = {}
-            _fold_trace(gb, red.trace, cert, 1)
             if expand_certificate(p, cert) != f:
                 raise InternalConsistencyError(
                     "certificate replay does not reproduce the claim"
@@ -645,12 +641,7 @@ def center_basis(report: QuotientReport) -> list[NcPoly]:
             row.extend(coords)
         rows.append(row)
     # left nullspace: central elements x satisfy x . rows = 0
-    transposed = [list(col) for col in zip(*rows)] if rows and rows[0] else []
-    if not transposed:
-        vecs = [[Fraction(1) if i == j else Fraction(0) for j in range(len(basis))]
-                for i in range(len(basis))]
-    else:
-        vecs = nullspace(transposed, len(basis))
+    vecs = nullspace([list(col) for col in zip(*rows)], len(basis))
     out = []
     for v in vecs:
         out.append(NcPoly(gens, {basis[k]: c for k, c in enumerate(v) if c}))
@@ -659,10 +650,16 @@ def center_basis(report: QuotientReport) -> list[NcPoly]:
 
 @dataclass
 class QuadraticReport:
-    sym_parts: list[NcPoly]
-    antisym_parts: list[NcPoly]
     sym_rank: int
     antisym_rank: int
+
+
+def _span_rank(polys: Sequence[NcPoly]) -> int:
+    """Dimension of the span of ``polys``: the words they use less the
+    nullity of their coefficient matrix."""
+    cols = list(dict.fromkeys(w for f in polys for w in f.terms))
+    rows = [[f.terms.get(w, Fraction(0)) for w in cols] for f in polys]
+    return len(cols) - len(nullspace(rows, len(cols)))
 
 
 def quadratic_classify(p: Presentation) -> QuadraticReport:
@@ -670,7 +667,6 @@ def quadratic_classify(p: Presentation) -> QuadraticReport:
     and antisymmetric pieces and report the span dimensions of each kind."""
     gens = p.gens
     sym_parts, antisym_parts = [], []
-    sspace, aspace = RowSpace(), RowSpace()
     for rel in p.relations:
         sym: dict[Word, Fraction] = {}
         anti: dict[Word, Fraction] = {}
@@ -686,15 +682,9 @@ def quadratic_classify(p: Presentation) -> QuadraticReport:
                 sym[tgt] = sym.get(tgt, Fraction(0)) + val
             for tgt, val in ((w, half), (rev, -half)):
                 anti[tgt] = anti.get(tgt, Fraction(0)) + val
-        sp = NcPoly(gens, sym)
-        ap = NcPoly(gens, anti)
-        sym_parts.append(sp)
-        antisym_parts.append(ap)
-        if not sp.is_zero():
-            sspace.add(dict(sp.terms))
-        if not ap.is_zero():
-            aspace.add(dict(ap.terms))
-    return QuadraticReport(sym_parts, antisym_parts, sspace.rank, aspace.rank)
+        sym_parts.append(NcPoly(gens, sym))
+        antisym_parts.append(NcPoly(gens, anti))
+    return QuadraticReport(_span_rank(sym_parts), _span_rank(antisym_parts))
 
 
 @dataclass
@@ -702,7 +692,6 @@ class AbelianizationReport:
     status: str
     dim: Optional[int]
     certified_at: Optional[int]
-    nc_report: QuotientReport
     comm_report: object  # commpoly.LocalReport
 
 
@@ -734,4 +723,4 @@ def abelianization_report(p: Presentation, maxN: int = 20) -> AbelianizationRepo
             f"{rep.status}/{rep.dim}, commutative basis gives "
             f"{crep.status}/{crep.dim}"
         )
-    return AbelianizationReport(rep.status, rep.dim, rep.certified_at, rep, crep)
+    return AbelianizationReport(rep.status, rep.dim, rep.certified_at, crep)

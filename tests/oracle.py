@@ -2,12 +2,12 @@
 
 ``brute_force_dim`` is a linear-algebra oracle for truncated quotient
 dimensions, independent of the rewriting engine: it spans every product
-u*relation*v over all words and counts what is left.  ``rescan_reduce`` is
+u*relation*v over all words and counts what is left, with its own
+elimination, so it shares no code with ``ncdef.linalg``.  ``rescan_reduce`` is
 the reduction kernel without any cache, for checking ``nc_reduce``.
 """
 
-from ncdef.freealg import NcOrder, NcPoly, word_mul
-from ncdef.linalg import RowSpace
+from ncdef.freealg import NcPoly, word_mul
 from ncdef.ncgb import find_division
 
 
@@ -26,22 +26,42 @@ def _words_up_to(gens, maxlen):
     return list(seen)
 
 
+def _rank(vectors):
+    """Rank of sparse vectors (dicts word -> coefficient) by elimination."""
+    rows = {}  # pivot word -> a reduced row whose largest word it is
+    for vec in vectors:
+        vec = dict(vec)
+        while vec:
+            piv = max(vec)
+            row = rows.get(piv)
+            if row is None:
+                rows[piv] = vec
+                break
+            factor = vec[piv] / row[piv]
+            for w, c in row.items():
+                nv = vec.get(w, 0) - factor * c
+                if nv:
+                    vec[w] = nv
+                else:
+                    del vec[w]
+    return len(rows)
+
+
 def brute_force_dim(p, n):
     """dim of T/(I + m^n) by straight linear algebra over words of length < n."""
     gens = p.gens
     words = _words_up_to(gens, n - 1)
-    span = RowSpace(key=NcOrder(gens, p.order).key)
-    for rel in p.relations:
-        minlen = min(len(w) for w in rel.terms)
-        for u in words:
-            for v in words:
-                if len(u) + minlen + len(v) >= n:
-                    continue
-                f = NcPoly.word(gens, u) * rel * NcPoly.word(gens, v)
-                f = NcPoly(gens, {w: c for w, c in f.terms.items() if len(w) < n})
-                if not f.is_zero():
-                    span.add(dict(f.terms))
-    return len(words) - span.rank
+
+    def products():
+        for rel in p.relations:
+            minlen = min(len(w) for w in rel.terms)
+            for u in words:
+                for v in words:
+                    if len(u) + minlen + len(v) < n:
+                        f = NcPoly.word(gens, u) * rel * NcPoly.word(gens, v)
+                        yield {w: c for w, c in f.terms.items() if len(w) < n}
+
+    return len(words) - _rank(products())
 
 
 def rescan_reduce(f, gb):

@@ -206,6 +206,27 @@ def test_max_degree_below_two_is_usage_error(tmp_path, capsys):
     assert code == 2 and doc is None and _one_line_error(cap)
 
 
+def test_zero_denominator_is_one_line_error(tmp_path, capsys):
+    f = tmp_path / "alg.txt"
+    f.write_text("generators: a b\nrelations: a*b + 1/0*b*a\n")
+    for argv in (
+        ["gb", str(f)],
+        ["zoo", "laufer", "--n", "1", "--lambda", "1/0,0"],
+        ["identities", "--n", "1", "--lambda", "0,1/0"],
+    ):
+        code, doc, cap = run(capsys, *argv)
+        assert code == 2 and doc is None and _one_line_error(cap)
+        assert "zero denominator" in cap.err
+
+
+def test_out_to_missing_directory_is_one_line_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    code, doc, cap = run(capsys, "zoo", "laufer", "--n", "1", "--lambda", "0,0",
+                         "--out", str(out))
+    assert code == 2 and doc is None and _one_line_error(cap)
+    assert cap.out == "" and not out.exists()
+
+
 def test_env_max_degree_not_an_integer(monkeypatch, capsys):
     monkeypatch.setenv("NCDEF_MAX_DEGREE", "ten")
     code, doc, cap = run(capsys, "bundle", "--length", "2")

@@ -52,6 +52,13 @@ def test_parse_error_positions():
             parse_expr(bad, G)
 
 
+def test_zero_denominator_is_a_parse_error_at_the_number():
+    with pytest.raises(ParseError) as e:
+        parse_expr("a*b + 1/0*b*a", G, line=4)
+    assert (e.value.line, e.value.col) == (4, 7)
+    assert "zero denominator" in str(e.value)
+
+
 # ------------------------------------------------------ presentation files
 
 

@@ -13,7 +13,6 @@ from ncdef.freealg import (
     commutator,
     genset,
     nc_abelianize,
-    nc_component,
     nc_substitute,
     word_mul,
     word_str,
@@ -113,11 +112,6 @@ def test_nc_substitute_centrality_guard():
 def test_commutator_and_component():
     a, b = NcPoly.gen(G2, "a"), NcPoly.gen(G2, "b")
     assert commutator(a, b) == a * b - b * a
-    f = a + a * b + b * b * b
-    assert nc_component(f, 1) == a
-    assert nc_component(f, 2) == a * b
-    assert nc_component(f, 3) == b * b * b
-    assert nc_component(f, 0).is_zero()
 
 
 def test_abelianize_is_ring_hom():

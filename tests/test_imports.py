@@ -1,4 +1,5 @@
-"""The package runs on the Python standard library alone."""
+"""The package runs on the Python standard library alone, and every module
+uses each name it imports."""
 
 import ast
 import pathlib
@@ -27,3 +28,22 @@ def test_package_imports_only_the_standard_library():
         and name.split(".")[0] not in sys.stdlib_module_names
     }
     assert not foreign
+
+
+def _bound_names(tree):
+    """Names bound by the module's imports, apart from ``__future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_every_imported_name_is_used():
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.name, name) for name in _bound_names(tree) if name not in used}
+    assert not unused

@@ -16,6 +16,7 @@ import sys
 import pytest
 
 from ncdef import ncgb
+from ncdef.exprparse import presentation_parse
 from ncdef.freealg import NcPoly, genset, word_mul, word_str
 from ncdef.ncgb import (
     DimensionUndefinedError,
@@ -100,7 +101,7 @@ def test_completion_example_leads():
     # completed lead words {a^2, ba, ab^3, b^6}
     p = _pres(G2, [A * B + B * A, A * A + B ** 3])
     gb = nc_complete(p, 8)
-    leads = {word_str(p.gens, w) for w in gb.lead_words()}
+    leads = {word_str(p.gens, r.lead) for r in gb.active_rules()}
     assert leads == {"a^2", "b*a", "a*b^3", "b^6"}
 
 
@@ -124,6 +125,25 @@ def test_truncated_dimension_matches_brute_force(name, p, n):
     from ncdef.ncgb import _irreducible_words
 
     gb = nc_complete(p, n)
+    assert len(_irreducible_words(gb)) == brute_force_dim(p, n)
+
+
+# Completions that take the central-letter pairs of ``gen_pairs``: both reach
+# a central-only lead against a mixed lead that shares its central letters,
+# and A also two central-only leads that share letters.
+CENTRAL_PAIRS = {
+    "A": "generators: a b\ncentral: t u\nrelations: t*u + a*b*a ; t^2 + b*a*b\n",
+    "B": "generators: a b\ncentral: t u\nrelations: t*u + a*b*a*b ; t*a*b + a^4\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENTRAL_PAIRS))
+@pytest.mark.parametrize("n", range(2, 8))
+def test_central_pairs_match_brute_force(name, n):
+    from ncdef.ncgb import _irreducible_words
+
+    p = presentation_parse(CENTRAL_PAIRS[name])
+    gb = nc_complete(p, n, provenance=False)
     assert len(_irreducible_words(gb)) == brute_force_dim(p, n)
 
 

@@ -49,7 +49,7 @@ def reductions(draw):
 def test_cached_reduction_matches_full_rescan(case):
     gb, polys = case
     for f in polys:
-        red = nc_reduce(f, gb, with_trace=True)
+        red = nc_reduce(f, gb)
         poly, trace, truncated = rescan_reduce(f, gb)
         assert red.poly == poly
         assert red.trace == trace
