@@ -248,16 +248,14 @@ def _cmd_bundle(args) -> dict[str, Any]:
 
 
 def _cmd_identities(args) -> dict[str, Any]:
-    lam = None
-    if args.lam is not None:
-        lam = _parse_lambda(args.lam, args.n)
-        if "sym" in lam:
-            lam = None
+    lam = None if args.lam is None else _parse_lambda(args.lam, args.n)
     checks = [
         _check(name, "pass" if good else "fail")
         for name, good in polynomial_identity_suite(args.n, lam).items()
     ]
-    return _doc("identities", {"n": args.n, "lambda": lam or "sym"}, checks)
+    if lam is None or all(v == "sym" for v in lam):
+        lam = "sym"
+    return _doc("identities", {"n": args.n, "lambda": lam}, checks)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,7 +1,8 @@
 """Exact multivariate commutative polynomials over Q with Buchberger bases.
 
-Polynomials are sparse maps from exponent tuples to nonzero Fractions.  The
-monomial order is graded (optionally weighted) lexicographic with ties broken
+:class:`Poly`, a sparse map from monomials to nonzero Fractions, is also the
+core of :class:`~ncdef.freealg.NcPoly`; :class:`CommPoly` takes exponent
+tuples as monomials, and :func:`substitute` serves both.  The monomial order is graded (optionally weighted) lexicographic with ties broken
 by variable declaration order.  Includes normal forms, quotient monomial
 bases, and local (truncation-stabilized) quotient reports.
 
@@ -23,7 +24,7 @@ Exponents = tuple[int, ...]
 
 
 class VarSetError(ValueError):
-    """Operands belong to different variable sets."""
+    """An unknown name, or operands that belong to different sets."""
 
 
 class DivisionByZeroPolyError(ZeroDivisionError):
@@ -34,14 +35,16 @@ class DivisionByZeroPolyError(ZeroDivisionError):
 class VarSet:
     names: tuple[str, ...]
 
+    _noun = "variable"  # what the error messages call a name
+
     def __post_init__(self):
         if not self.names:
-            raise ValueError("empty variable set")
+            raise ValueError(f"empty {self._noun} set")
         if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate variable names")
+            raise ValueError(f"duplicate {self._noun} names")
         for n in self.names:
             if not n or not isinstance(n, str):
-                raise ValueError("variable names must be non-empty strings")
+                raise ValueError(f"{self._noun} names must be non-empty strings")
 
     def __len__(self) -> int:
         return len(self.names)
@@ -50,7 +53,7 @@ class VarSet:
         try:
             return self.names.index(name)
         except ValueError:
-            raise VarSetError(f"unknown variable {name!r}") from None
+            raise VarSetError(f"unknown {self._noun} {name!r}") from None
 
 
 def varset(*names: str) -> VarSet:
@@ -97,81 +100,72 @@ def _exps_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-class CommPoly:
-    __slots__ = ("vars", "terms")
+class Poly:
+    """A sparse polynomial over Q: ``terms`` maps monomials to nonzero
+    Fractions, over the names of ``ring``.
 
-    def __init__(self, vars: VarSet, terms: Mapping[Exponents, Fraction]):
-        self.vars = vars
-        self.terms = {e: c if type(c) is Fraction else Fraction(c)
-                      for e, c in terms.items() if c}
+    The linear operations live here.  A subclass fixes the monomial type
+    through ``_mono`` (the monomial of a sequence of letters, as indices into
+    ``ring``) and its inverse ``_letters``, and defines the product.
+    """
 
-    # -- constructors -------------------------------------------------------
-    @staticmethod
-    def zero(vars: VarSet) -> "CommPoly":
-        return CommPoly(vars, {})
+    __slots__ = ("ring", "terms")
 
-    @staticmethod
-    def const(vars: VarSet, c) -> "CommPoly":
-        return CommPoly(vars, {(0,) * len(vars): Fraction(c)})
+    def __init__(self, ring: VarSet, terms: Mapping):
+        self.ring = ring
+        self.terms = {m: c if type(c) is Fraction else Fraction(c)
+                      for m, c in terms.items() if c}
 
-    @staticmethod
-    def variable(vars: VarSet, name: str) -> "CommPoly":
-        exps = [0] * len(vars)
-        exps[vars.index(name)] = 1
-        return CommPoly(vars, {tuple(exps): Fraction(1)})
+    @classmethod
+    def zero(cls, ring: VarSet):
+        return cls(ring, {})
 
-    @staticmethod
-    def monomial(vars: VarSet, exps: Exponents, c=1) -> "CommPoly":
-        return CommPoly(vars, {tuple(exps): Fraction(c)})
+    @classmethod
+    def const(cls, ring: VarSet, c):
+        return cls(ring, {cls._mono(ring, ()): Fraction(c)})
 
-    # -- basics -------------------------------------------------------------
-    def _check(self, other: "CommPoly"):
-        if self.vars != other.vars:
-            raise VarSetError("mismatched variable sets")
+    def _check(self, other: "Poly"):
+        if self.ring != other.ring:
+            raise VarSetError(f"mismatched {self.ring._noun} sets")
+
+    def _check_image(self, name: str, image: "Poly") -> None:
+        """Raise unless ``image`` may replace the name in :func:`substitute`."""
+        self.ring.index(name)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, CommPoly)
-            and self.vars == other.vars
+            type(other) is type(self)
+            and self.ring == other.ring
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self.terms.items())))
 
-    def __add__(self, other: "CommPoly") -> "CommPoly":
+    def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return CommPoly(self.vars, out)
+        for m, c in other.terms.items():
+            out[m] = out[m] + c if m in out else c
+        return type(self)(self.ring, out)
 
-    def __neg__(self) -> "CommPoly":
-        return CommPoly(self.vars, {e: -c for e, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)(self.ring, {m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other: "CommPoly") -> "CommPoly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: "CommPoly") -> "CommPoly":
-        self._check(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _exps_mul(e1, e2)
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return CommPoly(self.vars, out)
-
-    def scale(self, c) -> "CommPoly":
+    def scale(self, c):
         c = Fraction(c)
-        return CommPoly(self.vars, {e: c * v for e, v in self.terms.items()})
+        return type(self)(self.ring, {m: c * v for m, v in self.terms.items()})
 
-    def __pow__(self, n: int) -> "CommPoly":
+    def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = CommPoly.const(self.vars, 1)
+        out = type(self).const(self.ring, 1)
         base = self
         while n:
             if n & 1:
@@ -180,14 +174,55 @@ class CommPoly:
             n >>= 1
         return out
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._text()})"
+
+
+class CommPoly(Poly):
+    """A commutative polynomial; monomials are exponent tuples."""
+
+    __slots__ = ()
+
+    @property
+    def vars(self) -> VarSet:
+        return self.ring
+
+    @staticmethod
+    def _mono(vars: VarSet, letters: Sequence[int]) -> Exponents:
+        exps = [0] * len(vars)
+        for i in letters:
+            exps[i] += 1
+        return tuple(exps)
+
+    @staticmethod
+    def _letters(exps: Exponents) -> list[int]:
+        return [i for i, k in enumerate(exps) for _ in range(k)]
+
+    @staticmethod
+    def variable(vars: VarSet, name: str) -> "CommPoly":
+        return CommPoly(vars, {CommPoly._mono(vars, (vars.index(name),)): Fraction(1)})
+
+    @staticmethod
+    def monomial(vars: VarSet, exps: Exponents, c=1) -> "CommPoly":
+        return CommPoly(vars, {tuple(exps): Fraction(c)})
+
+    def __mul__(self, other: "CommPoly") -> "CommPoly":
+        self._check(other)
+        out: dict[Exponents, Fraction] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = _exps_mul(e1, e2)
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return CommPoly(self.ring, out)
+
     def lead(self, order: GrlexOrder) -> tuple[Exponents, Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no lead term")
         e = max(self.terms, key=order.key)
         return e, self.terms[e]
 
-    def __repr__(self) -> str:
-        return f"CommPoly({poly_str(self)})"
+    def _text(self) -> str:
+        return poly_str(self)
 
 
 def terms_str(terms: Iterable[tuple[Fraction, str]]) -> str:
@@ -237,18 +272,21 @@ def divexact(f: CommPoly, g: CommPoly) -> Optional[CommPoly]:
 
 
 def substitute(
-    f: CommPoly,
-    images: Mapping[str, CommPoly],
+    f: Poly,
+    images: Mapping[str, Poly],
     target: Optional[VarSet] = None,
-) -> CommPoly:
-    """Compose f with variable images.
+) -> Poly:
+    """Compose f with images of its variables (or generators).
 
-    Variables without an explicit image map to the same-named variable of the
+    Names without an explicit image map to the same-named variable of the
     target set (which defaults to the image polynomials' shared set, or f's
-    own set when no images are given).
+    own set when no images are given).  An image for a name f's set does not
+    have raises :class:`VarSetError`; an :class:`~ncdef.freealg.NcPoly`
+    raises ``CentralityError`` for a central generator whose image has a
+    non-central letter, so the result is well defined on canonical words.
     """
     if images:
-        tsets = {im.vars for im in images.values()}
+        tsets = {im.ring for im in images.values()}
         if len(tsets) > 1:
             raise VarSetError("images use different variable sets")
         inferred = next(iter(tsets))
@@ -257,19 +295,20 @@ def substitute(
         elif target != inferred:
             raise VarSetError("images do not live in the target variable set")
     elif target is None:
-        target = f.vars
-    full = []
-    for name in f.vars.names:
-        if name in images:
-            full.append(images[name])
-        else:
-            full.append(CommPoly.variable(target, name))
-    out = CommPoly.zero(target)
-    for e, c in f.terms.items():
-        term = CommPoly.const(target, c)
-        for img, k in zip(full, e):
-            if k:
-                term = term * img**k
+        target = f.ring
+    for name, im in images.items():
+        f._check_image(name, im)
+    cls = type(f)
+    full = [
+        images[name] if name in images
+        else cls(target, {cls._mono(target, (target.index(name),)): Fraction(1)})
+        for name in f.ring.names
+    ]
+    out = cls.zero(target)
+    for m, c in f.terms.items():
+        term = cls.const(target, c)
+        for i in cls._letters(m):
+            term = term * full[i]
         out = out + term
     return out
 

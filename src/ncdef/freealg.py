@@ -14,15 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from .commpoly import CommPoly, VarSet, terms_str
+from .commpoly import CommPoly, Poly, VarSet, terms_str
 
 Word = tuple[int, ...]
-
-
-class GenSetError(ValueError):
-    """Operands belong to different generator sets."""
 
 
 class CentralityError(ValueError):
@@ -30,29 +26,26 @@ class CentralityError(ValueError):
 
 
 @dataclass(frozen=True)
-class GenSet:
-    names: tuple[str, ...]
+class GenSet(VarSet):
+    """Generator names with weights and centrality; names are checked, and
+    looked up by :meth:`~ncdef.commpoly.VarSet.index`, as for any variable set."""
+
     weights: tuple[int, ...]
     central: tuple[bool, ...]
     commutative: bool = False
 
+    _noun = "generator"
+
     def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate generator names")
+        super().__post_init__()
         if len(self.weights) != len(self.names) or len(self.central) != len(self.names):
             raise ValueError("weights/centrality must match generator count")
         if any(w < 1 for w in self.weights):
             raise ValueError("weights must be >= 1")
-        if not self.commutative and self.names and all(self.central):
+        if not self.commutative and all(self.central):
             raise ValueError(
                 "all generators central: declare the presentation commutative"
             )
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise GenSetError(f"unknown generator {name!r}") from None
 
 
 def genset(
@@ -145,24 +138,20 @@ class NcOrder:
 
 # -- polynomials ------------------------------------------------------------
 
-class NcPoly:
-    __slots__ = ("gens", "terms")
+class NcPoly(Poly):
+    """A noncommutative polynomial; monomials are canonical words."""
 
-    def __init__(self, gens: GenSet, terms: Mapping[Word, Fraction]):
-        self.gens = gens
-        self.terms = {
-            w: c if type(c) is Fraction else Fraction(c)
-            for w, c in terms.items()
-            if c
-        }
+    __slots__ = ()
 
-    @staticmethod
-    def zero(gens: GenSet) -> "NcPoly":
-        return NcPoly(gens, {})
+    @property
+    def gens(self) -> GenSet:
+        return self.ring
+
+    _mono = staticmethod(canon_word)
 
     @staticmethod
-    def const(gens: GenSet, c) -> "NcPoly":
-        return NcPoly(gens, {(): Fraction(c)})
+    def _letters(w: Word) -> Word:
+        return w
 
     @staticmethod
     def gen(gens: GenSet, name: str) -> "NcPoly":
@@ -172,59 +161,24 @@ class NcPoly:
     def word(gens: GenSet, letters: Sequence[int], c=1) -> "NcPoly":
         return NcPoly(gens, {canon_word(gens, letters): Fraction(c)})
 
-    def _check(self, other: "NcPoly"):
-        if self.gens != other.gens:
-            raise GenSetError("mismatched generator sets")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NcPoly)
-            and self.gens == other.gens
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.gens, frozenset(self.terms.items())))
-
-    def __add__(self, other: "NcPoly") -> "NcPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return NcPoly(self.gens, out)
-
-    def __neg__(self) -> "NcPoly":
-        return NcPoly(self.gens, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "NcPoly") -> "NcPoly":
-        return self + (-other)
+    def _check_image(self, name: str, image: "NcPoly") -> None:
+        if self.ring.central[self.ring.index(name)] and any(
+            not image.ring.central[i] for w in image.terms for i in w
+        ):
+            raise CentralityError(f"central generator {name!r} needs a central image")
 
     def __mul__(self, other: "NcPoly") -> "NcPoly":
         self._check(other)
+        gens = self.ring
         out: dict[Word, Fraction] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = word_mul(self.gens, w1, w2)
-                out[w] = out.get(w, 0) + c1 * c2
-        return NcPoly(self.gens, out)
+                w = word_mul(gens, w1, w2)
+                out[w] = out[w] + c1 * c2 if w in out else c1 * c2
+        return NcPoly(gens, out)
 
-    def scale(self, c) -> "NcPoly":
-        c = Fraction(c)
-        return NcPoly(self.gens, {w: c * v for w, v in self.terms.items()})
-
-    def __pow__(self, n: int) -> "NcPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = NcPoly.const(self.gens, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __repr__(self) -> str:
-        return f"NcPoly({nc_str(self)})"
+    def _text(self) -> str:
+        return nc_str(self)
 
 
 def nc_str(f: NcPoly) -> str:
@@ -239,49 +193,11 @@ def commutator(f: NcPoly, g: NcPoly) -> NcPoly:
     return f * g - g * f
 
 
-def nc_substitute(f: NcPoly, images: Mapping[str, NcPoly]) -> NcPoly:
-    """Compose f with generator images.
-
-    Substituting a central generator requires an image all of whose letters
-    are central (so the result is well defined on canonical words).
-    """
-    if not images:
-        return f
-    tsets = {im.gens for im in images.values()}
-    if len(tsets) > 1:
-        raise GenSetError("images use different generator sets")
-    target = next(iter(tsets))
-    for name, im in images.items():
-        idx = f.gens.index(name)
-        if f.gens.central[idx]:
-            for w in im.terms:
-                if any(not target.central[i] for i in w):
-                    raise CentralityError(
-                        f"central generator {name!r} needs a central image"
-                    )
-    gen_imgs = []
-    for i, name in enumerate(f.gens.names):
-        if name in images:
-            gen_imgs.append(images[name])
-        else:
-            gen_imgs.append(NcPoly.gen(target, name))
-    out = NcPoly.zero(target)
-    for w, c in f.terms.items():
-        term = NcPoly.const(target, c)
-        for i in w:
-            term = term * gen_imgs[i]
-        out = out + term
-    return out
-
-
 def nc_abelianize(f: NcPoly) -> CommPoly:
     """Image under the monoid map word -> exponent vector."""
     vars = VarSet(f.gens.names)
     terms: dict[tuple[int, ...], Fraction] = {}
     for w, c in f.terms.items():
-        e = [0] * len(f.gens.names)
-        for i in w:
-            e[i] += 1
-        e = tuple(e)
-        terms[e] = terms.get(e, Fraction(0)) + c
+        e = CommPoly._mono(vars, w)
+        terms[e] = terms[e] + c if e in terms else c
     return CommPoly(vars, terms)

@@ -261,8 +261,9 @@ def generator_identity_suite() -> dict[str, bool]:
 def polynomial_identity_suite(n: int, lam: Optional[Sequence] = None) -> dict[str, bool]:
     """Scalar polynomial identities behind the hypersurface family.
 
-    With ``lam=None`` the 2n deformation parameters are symbolic variables
-    l1..l{2n}; otherwise ``lam`` supplies 2n rational values.  Checks:
+    ``lam`` has 2n entries, each a rational value or the token "sym", which
+    keeps parameter i as the symbolic variable li; ``lam=None`` means all
+    "sym".  Checks:
     (i)  u*F = u*x^2 + B^2 + A*C with A = uw - v^2, B = uy + vz, C = z^2 + ut^2;
     (ii) substituting t = (-w)^n, u = y + sum_i li*(-w)^i, v = 0 into F yields
          x^2 + y^3 + sum li*y^2*(-w)^i + z^2*w + y*w^(2n+1)
@@ -278,18 +279,15 @@ def polynomial_identity_suite(n: int, lam: Optional[Sequence] = None) -> dict[st
     c_p = _z * _z + _u * _t * _t
     ok_quadric = _u * F_POLY == _u * _x * _x + b_p * b_p + a_p * c_p
 
-    symbolic = lam is None
-    if symbolic:
-        ext = varset(*(SVARS.names + tuple(f"l{i}" for i in range(1, 2 * n + 1))))
-    else:
-        if len(lam) != 2 * n:
-            raise ValueError("need 2n parameter values")
-        ext = SVARS
+    lam = ["sym"] * (2 * n) if lam is None else list(lam)
+    if len(lam) != 2 * n:
+        raise ValueError("need 2n parameter values")
+    ext = varset(*SVARS.names, *(f"l{i}" for i, v in enumerate(lam, 1) if v == "sym"))
     x, y, z, w = (CommPoly.variable(ext, v) for v in "xyzw")
-    if symbolic:
-        lams = [CommPoly.variable(ext, f"l{i}") for i in range(1, 2 * n + 1)]
-    else:
-        lams = [CommPoly.const(ext, Fraction(v)) for v in lam]
+    lams = [
+        CommPoly.variable(ext, f"l{i}") if v == "sym" else CommPoly.const(ext, Fraction(v))
+        for i, v in enumerate(lam, 1)
+    ]
     mw = -w
     u_img = y + sum((lams[i - 1] * mw ** i for i in range(1, 2 * n + 1)),
                     CommPoly.zero(ext))

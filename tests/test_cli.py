@@ -41,6 +41,20 @@ def test_zoo_laufer_bad_lambda_is_usage_error(capsys):
     assert code == 2 and doc is None
 
 
+def test_zoo_laufer_mixed_lambda_reports_presentation(capsys):
+    code, doc, _ = run(capsys, "zoo", "laufer", "--n", "1", "--lambda", "0,sym")
+    assert code == 0 and doc["input"]["lambda"] == ["0", "sym"]
+    assert doc["checks"][0]["detail"]["symbolic"] is True
+    assert "central: l2\n" in doc["presentation"]
+    assert "l1" not in doc["presentation"]
+
+
+def test_zoo_laufer_lambda_entry_not_rational_is_one_line_error(capsys):
+    code, doc, cap = run(capsys, "zoo", "laufer", "--n", "1", "--lambda", "0,x")
+    assert code == 2 and doc is None and _one_line_error(cap)
+    assert "'x'" in cap.err
+
+
 def test_zoo_length2(capsys):
     code, doc, _ = run(capsys, "zoo", "length2", "--max-degree", "8")
     assert code == 0 and doc["ok"]
@@ -118,6 +132,12 @@ def test_identities_symbolic_and_rational(capsys):
     assert code == 0 and doc["input"]["lambda"] == ["1/3", "0"]
 
 
+def test_identities_mixed_lambda_keeps_the_rational_entry(capsys):
+    code, doc, _ = run(capsys, "identities", "--n", "1", "--lambda", "0,sym")
+    assert code == 0 and doc["input"]["lambda"] == ["0", "sym"]
+    assert [c["status"] for c in doc["checks"]] == ["pass"] * 3
+
+
 # ----------------------------------------------------------- gb subcommand
 
 
@@ -136,6 +156,16 @@ def test_gb_not_finite_reports_exit_zero(tmp_path, capsys):
     assert code == 0
     assert doc["status"] == "not-finite" and doc["up_to"] == 10
     assert doc["checks"][0]["detail"]["outcome"] == "not-finite"
+
+
+def test_gb_dimension_undefined_is_reported(tmp_path, capsys):
+    f = tmp_path / "alg.txt"
+    f.write_text("generators: a\ncentral: t\nrelations: a^2\n")
+    code, doc, _ = run(capsys, "gb", str(f), "--max-degree", "8")
+    assert code == 0 and doc["ok"]
+    (check,) = doc["checks"]
+    assert check["name"] == "dimension" and check["status"] == "reported"
+    assert check["detail"]["outcome"] == "dimension-undefined"
 
 
 def test_gb_parse_error_exit_two(tmp_path, capsys):
@@ -277,3 +307,17 @@ def test_matfac_witness_failure_is_one_line_error(monkeypatch, capsys):
     code, doc, cap = run(capsys, "matfac", "verify-all")
     assert code == 2 and doc is None and _one_line_error(cap)
     assert "witness" in cap.err
+
+
+def test_karmazyn_uncertified_slot_is_a_mismatch(monkeypatch, capsys):
+    from ncdef import cli
+    from ncdef.zoo import HigherLengthReport, RelationVerdict
+
+    slot = RelationVerdict(1, None, [("claimed", "inconclusive")], "inconclusive")
+    monkeypatch.setattr(cli, "verify_higher_length",
+                        lambda l, trunc: HigherLengthReport(l, [slot], []))
+    code, doc, _ = run(capsys, "zoo", "karmazyn", "--length", "3", "--verify")
+    assert code == 1 and not doc["ok"]
+    (check,) = doc["checks"]
+    assert check["name"] == "forward:relation-1" and check["status"] == "mismatch"
+    assert check["detail"]["corrected_status"] == "inconclusive"

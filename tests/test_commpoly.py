@@ -8,6 +8,7 @@ from ncdef import commpoly
 from ncdef.commpoly import (
     CommPoly,
     GrlexOrder,
+    VarSetError,
     divexact,
     groebner,
     local_report,
@@ -78,6 +79,12 @@ def test_substitute_identity_and_composition():
     assert substitute(f, {}) == f
     g = substitute(f, {"x": y, "y": x})
     assert g == y * y + x * z - w
+
+
+def test_substitute_rejects_an_image_for_an_unknown_name():
+    x, y, _, _ = _vars()
+    with pytest.raises(VarSetError, match="unknown variable 'q'"):
+        substitute(x * x, {"q": y})
 
 
 def test_partials_product_rule_spot():

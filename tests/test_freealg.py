@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from ncdef.commpoly import CommPoly, varset
+from ncdef.commpoly import CommPoly, VarSetError, substitute, varset
 from ncdef.freealg import (
     CentralityError,
     NcOrder,
@@ -13,7 +13,6 @@ from ncdef.freealg import (
     commutator,
     genset,
     nc_abelianize,
-    nc_substitute,
     word_mul,
     word_str,
     word_weight,
@@ -97,16 +96,37 @@ def test_nc_substitute_homomorphism():
     images = {"a": a * b - b, "b": a + NcPoly.const(G2, 2)}
     for _ in range(15):
         f, g = _rand_poly(rng, G2), _rand_poly(rng, G2)
-        sf, sg = nc_substitute(f, images), nc_substitute(g, images)
-        assert nc_substitute(f + g, images) == sf + sg
-        assert nc_substitute(f * g, images) == sf * sg
+        sf, sg = substitute(f, images), substitute(g, images)
+        assert substitute(f + g, images) == sf + sg
+        assert substitute(f * g, images) == sf * sg
 
 
 def test_nc_substitute_centrality_guard():
     t = NcPoly.gen(G3, "t")
     a = NcPoly.gen(G3, "a")
     with pytest.raises(CentralityError):
-        nc_substitute(t, {"t": a})  # non-central image for a central letter
+        substitute(t, {"t": a})  # non-central image for a central letter
+
+
+@pytest.mark.parametrize("one, other", [
+    (NcPoly.gen(G2, "a"), NcPoly.gen(genset(["a", "c"]), "a")),
+    (CommPoly.variable(varset("a", "b"), "a"), CommPoly.variable(varset("a", "c"), "a")),
+    (NcPoly.gen(G2, "a"), CommPoly.variable(varset("a", "b"), "a")),
+], ids=["nc", "comm", "nc-comm"])
+def test_arithmetic_across_sets_raises(one, other):
+    for op in (lambda f, g: f + g, lambda f, g: f - g, lambda f, g: f * g):
+        with pytest.raises(VarSetError, match="mismatched"):
+            op(one, other)
+        with pytest.raises(VarSetError, match="mismatched"):
+            op(other, one)
+
+
+def test_nc_and_commutative_polys_never_equal():
+    ab = varset("a", "b")
+    assert NcPoly.zero(G2) != CommPoly.zero(ab)
+    assert CommPoly.zero(ab) != NcPoly.zero(G2)
+    assert NcPoly.zero(G2) != CommPoly.zero(G2)
+    assert NcPoly.gen(G2, "a") != CommPoly.variable(ab, "a")
 
 
 def test_commutator_and_component():

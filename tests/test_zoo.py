@@ -68,6 +68,12 @@ def test_laufer_specialization_check_certifies():
     assert len(names) == len(set(names))
 
 
+@pytest.mark.parametrize("n,i,trunc", [(1, 2, 8), (2, 2, 8), (2, 3, 8), (2, 4, 10)])
+def test_laufer_specialization_check_at_nonzero_lambda(n, i, trunc):
+    checks = laufer_specialization_check(n, standard_lambda(n, i), trunc)
+    assert [c.status for c in checks] == ["certified-zero"] * 5
+
+
 # ------------------------------------------------------------ length2 suite
 
 
