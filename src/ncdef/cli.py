@@ -107,6 +107,11 @@ def _parse_lambda(text: str, n: int) -> list:
     return out
 
 
+def _require_max_degree(what: str, maxN: int, least: int) -> None:
+    if maxN < least:
+        raise ValueError(f"{what} needs --max-degree >= {least}, got {maxN}")
+
+
 def _quotient_checks(p, maxN: int) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     try:
         rep = quotient_report(p, maxN=maxN)
@@ -162,8 +167,7 @@ def _cmd_zoo(args) -> dict[str, Any]:
         extra["presentation"] = render(p)
         return _doc("zoo", inputs, checks, extra)
     if args.family == "length2":
-        if maxN < 8:
-            raise ValueError(f"zoo length2 needs --max-degree >= 8, got {maxN}")
+        _require_max_degree("zoo length2", maxN, 8)
         cutoff = maxN if maxN < 20 else 8
         rep = length2_universal_suite(trunc=cutoff)
         checks = (
@@ -183,6 +187,7 @@ def _cmd_zoo(args) -> dict[str, Any]:
         return _doc("zoo", inputs,
                     [_check("presentation", "reported")],
                     {"presentation": render(p)})
+    _require_max_degree("zoo karmazyn --verify", maxN, 2)
     cutoff = inputs["cutoff"] = min(maxN, 10)
     rep = verify_higher_length(l, trunc=cutoff)
     checks: list[dict[str, Any]] = []
@@ -236,7 +241,13 @@ def _cmd_bundle(args) -> dict[str, Any]:
         s = contraction_splitting_type(args.length)
         inputs: dict[str, Any] = {"length": args.length}
     elif args.degrees:
-        s = splitting(*[int(d) for d in args.degrees.split(",")])
+        try:
+            degrees = [int(d) for d in args.degrees.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"--degrees needs comma-separated integers, got {args.degrees!r}"
+            ) from None
+        s = splitting(*degrees)
         inputs = {"degrees": list(s.degrees)}
     else:
         raise argparse.ArgumentTypeError("need --degrees or --length")

@@ -19,6 +19,9 @@ Every normal form goes through :func:`nc_reduce`.  A :class:`TruncatedGB`
 caches, per word, which active rule divides it and the word's rule key;
 completion clears the cache whenever a rule is added or retired, so the
 many reductions between two such changes divide each word only once.
+Each rule splits its lead once, into a multiset of central letters and a
+string key of its noncommutative letters, so finding a divisor is a C-level
+substring search per rule rather than a scan of the word's factors.
 """
 
 from __future__ import annotations
@@ -94,10 +97,14 @@ class RewriteRule:
     dropped by truncation anywhere in the rule's derivation).
     """
 
-    __slots__ = ("lead", "tail", "prov", "exact", "idx", "active", "ext_mt")
+    __slots__ = ("lead", "tail", "prov", "exact", "idx", "active", "ext_mt",
+                 "lead_c", "lead_key")
 
     def __init__(self, lead: Word, tail: NcPoly, prov: Provenance, exact: bool, idx: int):
         self.lead = lead
+        lc, ln = word_split(tail.gens, lead)
+        self.lead_c = Counter(lc)  # central letters of the lead, as a multiset
+        self.lead_key = _word_key(ln)  # its noncommutative part
         self.tail = tail
         self.prov = prov
         self.exact = exact
@@ -165,12 +172,28 @@ def find_division(gens: GenSet, lead: Word, w: Word) -> Optional[tuple[Word, Wor
     return None
 
 
+def _word_key(letters: Word) -> str:
+    """One character per letter, so contiguous factors are substrings."""
+    return "".join(map(chr, letters))
+
+
 def _divisor(
     gens: GenSet, rules: Sequence[RewriteRule], w: Word
 ) -> Optional[RewriteRule]:
-    """The first rule whose lead divides ``w``, or None."""
+    """The first rule whose lead divides ``w``, or None (the rule
+    :func:`find_division` would pick, without finding the division)."""
+    wc, wn = word_split(gens, w)
+    key = _word_key(wn)
+    cnt = None
     for r in rules:
-        if find_division(gens, r.lead, w) is not None:
+        if r.lead_key not in key:
+            continue
+        if r.lead_c and cnt is None:
+            cnt = Counter(wc)
+        for x, k in r.lead_c.items():
+            if cnt[x] < k:
+                break
+        else:
             return r
     return None
 
@@ -254,8 +277,10 @@ def nc_reduce(f: NcPoly, gb: TruncatedGB) -> ReduceResult:
             if len(nw) >= gb.trunc:
                 truncated = True
                 continue
-            nv = work.get(nw, 0) + c * tc
-            if nv:
+            t = c * tc
+            if nw not in work:
+                work[nw] = t
+            elif nv := work[nw] + t:
                 work[nw] = nv
             else:
                 del work[nw]
@@ -267,17 +292,20 @@ def _conj(gens: GenSet, u: Word, prov: Provenance, v: Word, c: Fraction) -> Prov
     out: Provenance = {}
     for (pu, i, pv), pc in prov.items():
         key = (word_mul(gens, u, pu), i, word_mul(gens, pv, v))
-        out[key] = out.get(key, 0) + c * pc
+        t = pc * c  # Fraction first: c may be a +-1 int
+        out[key] = out[key] + t if key in out else t
     return out
 
 
 def _prov_add(dst: Provenance, src: Provenance) -> None:
     for key, c in src.items():
-        nv = dst.get(key, 0) + c
-        if nv:
+        if key not in dst:
+            if c:  # _conj can leave a zero where two of its keys merged
+                dst[key] = c
+        elif nv := dst[key] + c:
             dst[key] = nv
         else:
-            dst.pop(key, None)
+            del dst[key]
 
 
 def _fold_trace(
@@ -292,7 +320,7 @@ def _fold_trace(
     for c, u, i, v in trace:
         rule = gb.rules[i]
         if prov is not None:
-            _prov_add(prov, _conj(gb.gens, u, rule.prov, v, sign * c))
+            _prov_add(prov, _conj(gb.gens, u, rule.prov, v, c if sign > 0 else -c))
         exact = exact and rule.exact
     return exact
 
@@ -341,10 +369,11 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
             return poly, exact
         _, combo, exact = item
         terms: dict[Word, Fraction] = {}
-        for c, u, i, v in combo:
+        for c, u, i, v in combo:  # every c is 1 or -1
             for tw, tc in gb.rules[i].tail.terms.items():
                 w = word_mul(gens, word_mul(gens, u, tw), v)
-                terms[w] = terms.get(w, 0) - c * tc
+                t = -tc if c > 0 else tc
+                terms[w] = terms[w] + t if w in terms else t
         return NcPoly(gens, terms), _fold_trace(gb, combo, None, 1) and exact
 
     def item_prov(item) -> Provenance:
@@ -357,9 +386,9 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
 
     def gen_pairs(rp: RewriteRule, rq: RewriteRule) -> None:
         """Queue the critical pairs of the ordered rule pair (rp, rq)."""
-        pc, pn = word_split(gens, rp.lead)
-        qc, qn = word_split(gens, rq.lead)
-        cp, cq = Counter(pc), Counter(qc)
+        cp, cq = rp.lead_c, rq.lead_c
+        pn = rp.lead[len(rp.lead) - len(rp.lead_key):]
+        qn = rq.lead[len(rq.lead) - len(rq.lead_key):]
         shared = bool(cp & cq)
         cmax = cp | cq
         rest_p = tuple(sorted((cmax - cp).elements()))
@@ -472,8 +501,7 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
             gen_pairs(new, r)
             if r is not new:
                 gen_pairs(r, new)
-        pc, pn = word_split(gens, new.lead)
-        if not pn:
+        if not new.lead_key:
             for x in noncentral:
                 # a central-only lead rewrites at any position, so its tail
                 # must commute with every noncommuting generator

@@ -271,6 +271,21 @@ def test_zoo_length2_max_degree_below_eight(capsys):
     assert "trunc" not in cap.err
 
 
+def test_zoo_karmazyn_verify_max_degree_below_two(capsys):
+    code, doc, cap = run(capsys, "zoo", "karmazyn", "--length", "3", "--verify",
+                         "--max-degree", "1")
+    assert code == 2 and doc is None and _one_line_error(cap)
+    assert "--max-degree" in cap.err and "2" in cap.err
+    assert "trunc" not in cap.err
+
+
+def test_bundle_degrees_not_integers(capsys):
+    code, doc, cap = run(capsys, "bundle", "--degrees", "a,b")
+    assert code == 2 and doc is None and _one_line_error(cap)
+    assert "--degrees" in cap.err and "integers" in cap.err
+    assert "invalid literal" not in cap.err
+
+
 def test_completion_step_limit_is_one_line_error(tmp_path, monkeypatch, capsys):
     from ncdef import ncgb
 

@@ -1,7 +1,11 @@
-"""Property test of the cached reduction kernel: many reductions, one after
-another, against one finished rule system (the pattern of ``derive_check``
-and ``center_basis``) must match a full rescan that keeps nothing between
-steps."""
+"""Property tests of the reduction kernel.
+
+Many reductions, one after another, against one finished rule system (the
+pattern of ``derive_check`` and ``center_basis``) must match a full rescan
+that keeps nothing between steps.  The divisor search, which matches each
+rule's split lead by substring and multiset tests, must pick the rule that
+:func:`~ncdef.ncgb.find_division` picks.
+"""
 
 from fractions import Fraction
 
@@ -10,8 +14,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from ncdef.freealg import NcPoly, canon_word
-from ncdef.ncgb import nc_complete, nc_reduce
+from ncdef.freealg import NcPoly, canon_word, genset, word_mul
+from ncdef.ncgb import RewriteRule, _divisor, find_division, nc_complete, nc_reduce
 from ncdef.zoo import (
     karmazyn_contraction_presentation,
     laufer_presentation,
@@ -54,3 +58,36 @@ def test_cached_reduction_matches_full_rescan(case):
         assert red.poly == poly
         assert red.trace == trace
         assert red.truncated == truncated
+
+
+@st.composite
+def divisor_cases(draw):
+    """Leads and a word over a few letters of a generator set with 0-2
+    central letters; the 300-generator set puts letters past chr(255)."""
+    n = draw(st.sampled_from([2, 3, 4, 300]))
+    alphabet = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True))
+    ncentral = draw(st.integers(0, min(2, len(alphabet) - 1)))
+    cen, nc = alphabet[:ncentral], alphabet[ncentral:]
+    gens = genset([f"g{i}" for i in range(n)], central=[f"g{i}" for i in cen])
+
+    def words(max_c, max_n):
+        parts = st.tuples(
+            st.lists(st.sampled_from(cen), max_size=max_c) if cen else st.just([]),
+            st.lists(st.sampled_from(nc), max_size=max_n),
+        )
+        return parts.map(lambda cn: canon_word(gens, cn[0] + cn[1]))
+
+    leads = draw(st.lists(words(2, 3).filter(bool), min_size=1, max_size=8))
+    w = draw(words(4, 8))
+    if draw(st.booleans()):  # make sure some lead divides the word
+        w = word_mul(gens, word_mul(gens, w, draw(st.sampled_from(leads))), draw(words(1, 2)))
+    zero = NcPoly.zero(gens)
+    return gens, [RewriteRule(lead, zero, {}, True, k) for k, lead in enumerate(leads)], w
+
+
+@settings(max_examples=200, deadline=None)
+@given(divisor_cases())
+def test_divisor_is_the_first_rule_find_division_accepts(case):
+    gens, rules, w = case
+    want = next((r for r in rules if find_division(gens, r.lead, w) is not None), None)
+    assert _divisor(gens, rules, w) is want
