@@ -112,7 +112,10 @@ def _require_max_degree(what: str, maxN: int, least: int) -> None:
         raise ValueError(f"{what} needs --max-degree >= {least}, got {maxN}")
 
 
-def _quotient_checks(p, maxN: int) -> tuple[list[dict[str, Any]], dict[str, Any]]:
+def _quotient_checks(
+    what: str, p, maxN: int
+) -> tuple[list[dict[str, Any]], dict[str, Any]]:
+    _require_max_degree(what, maxN, 2)
     try:
         rep = quotient_report(p, maxN=maxN)
     except DimensionUndefinedError as exc:
@@ -163,7 +166,7 @@ def _cmd_zoo(args) -> dict[str, Any]:
             return _doc("zoo", inputs,
                         [_check("presentation", "reported", symbolic=True)],
                         {"presentation": render(p)})
-        checks, extra = _quotient_checks(p, maxN)
+        checks, extra = _quotient_checks("zoo laufer", p, maxN)
         extra["presentation"] = render(p)
         return _doc("zoo", inputs, checks, extra)
     if args.family == "length2":
@@ -213,7 +216,7 @@ def _cmd_gb(args) -> dict[str, Any]:
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     p = presentation_parse(text)
-    checks, extra = _quotient_checks(p, args.max_degree)
+    checks, extra = _quotient_checks("gb", p, args.max_degree)
     extra["presentation"] = render(p)
     return _doc("gb", {"file": args.file, "max_degree": args.max_degree},
                 checks, extra)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Optional, Sequence
 
 Exponents = tuple[int, ...]
@@ -506,7 +507,12 @@ def quotient_basis(gb: CommGB, bound: int) -> QuotientBasis:
 
 
 def monomials_of_degree(vars: VarSet, deg: int) -> list[Exponents]:
-    return _standard_levels(len(vars), (), deg)[deg]
+    """Every monomial of total degree ``deg``, sorted."""
+    n = len(vars)
+    return sorted(
+        tuple(map(c.count, range(n)))
+        for c in combinations_with_replacement(range(n), deg)
+    )
 
 
 def graded_dims(degrees: Iterable[int]) -> list[int]:

@@ -16,9 +16,9 @@ Provenance is folded only for a pair that becomes a rule: pairs which reduce
 to zero never build one.
 
 Every normal form goes through :func:`nc_reduce`.  A :class:`TruncatedGB`
-caches, per word, which active rule divides it and the word's rule key;
-completion clears the cache whenever a rule is added or retired, so the
-many reductions between two such changes divide each word only once.
+caches, per word, the word's rule key and which active rule divides it, and
+where; completion clears the cache whenever a rule is added or retired, so
+the many reductions between two such changes divide each word only once.
 Each rule splits its lead once, into a multiset of central letters and a
 string key of its noncommutative letters, so finding a divisor is a C-level
 substring search per rule rather than a scan of the word's factors.
@@ -124,21 +124,22 @@ class RewriteRule:
 class TruncatedGB:
     """A rewriting system at length cutoff ``trunc``.
 
-    ``reductions`` caches, per word w, ``(order.rule_key(w), rule)`` for the
-    lowest-index active rule whose lead divides w, or None when no active
-    lead divides it.  An entry depends only on the leads and active flags,
-    so it is valid exactly while the set of active rules is unchanged:
-    whoever adds or retires a rule must clear it.  A changed tail leaves it
-    valid, since the tail is read only when a step is applied.
+    ``reductions`` caches, per word w, ``(order.rule_key(w), rule, u, v)``
+    for the lowest-index active rule whose lead divides w and its leftmost
+    division ``w = u * rule.lead * v``, or None when no active lead divides
+    it.  An entry depends only on the leads and active flags, so it is valid
+    exactly while the set of active rules is unchanged: whoever adds or
+    retires a rule must clear it.  A changed tail leaves it valid, since the
+    tail is read only when a step is applied.
     """
 
     gens: GenSet
     order: NcOrder
     trunc: int
     rules: list[RewriteRule]
-    reductions: dict[Word, Optional[tuple[tuple, RewriteRule]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    reductions: dict[
+        Word, Optional[tuple[tuple, RewriteRule, Word, Word]]
+    ] = field(default_factory=dict, repr=False, compare=False)
 
     def active_rules(self) -> list[RewriteRule]:
         return [r for r in self.rules if r.active]
@@ -241,10 +242,9 @@ def nc_reduce(f: NcPoly, gb: TruncatedGB) -> ReduceResult:
     lowest-degree one), using the lowest-index applicable rule at its leftmost
     occurrence; the returned trace records each step as ``(c, u, rule index,
     v)``.  Replacement words of length >= ``trunc`` are dropped and recorded
-    in ``truncated``.  Which rule divides a word, and the word's rule key, are
-    looked up in ``gb.reductions`` and computed only for words not seen since
-    the active rules last changed; the division itself is found only for the
-    word a step rewrites.
+    in ``truncated``.  A word's rule key, which rule divides it and the
+    division itself are looked up in ``gb.reductions`` and computed only for
+    words not seen since the active rules last changed.
     """
     gens, order, cache = gb.gens, gb.order, gb.reductions
     active: Optional[list[RewriteRule]] = None
@@ -264,20 +264,21 @@ def nc_reduce(f: NcPoly, gb: TruncatedGB) -> ReduceResult:
                 if active is None:
                     active = gb.active_rules()
                 rule = _divisor(gens, active, w)
-                hit = cache[w] = None if rule is None else (order.rule_key(w), rule)
+                hit = cache[w] = None if rule is None else (
+                    order.rule_key(w), rule, *find_division(gens, rule.lead, w))
             if hit is not None and (best is None or hit[0] > best[0]):
                 best, best_w = hit, w
         if best is None:
             break
-        rule = best[1]
-        u, v = find_division(gens, rule.lead, best_w)
+        _, rule, u, v = best
         c = work.pop(best_w)
         for tw, tc in rule.tail.terms.items():
             nw = word_mul(gens, word_mul(gens, u, tw), v)
             if len(nw) >= gb.trunc:
                 truncated = True
                 continue
-            t = c * tc
+            # most tail coefficients are +-1: a sign flip skips the product
+            t = c if tc == 1 else -c if tc == -1 else c * tc
             if nw not in work:
                 work[nw] = t
             elif nv := work[nw] + t:

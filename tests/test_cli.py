@@ -230,10 +230,12 @@ def test_max_degree_below_two_is_usage_error(tmp_path, capsys):
     code, doc, cap = run(capsys, "zoo", "laufer", "--n", "1", "--lambda",
                          "0,0", "--max-degree", "1")
     assert code == 2 and doc is None and _one_line_error(cap)
+    assert "zoo laufer needs --max-degree >= 2, got 1" in cap.err
     f = tmp_path / "alg.txt"
     f.write_text("generators: a\nrelations: a^3\n")
     code, doc, cap = run(capsys, "gb", str(f), "--max-degree", "1")
     assert code == 2 and doc is None and _one_line_error(cap)
+    assert "gb needs --max-degree >= 2, got 1" in cap.err
 
 
 def test_zero_denominator_is_one_line_error(tmp_path, capsys):

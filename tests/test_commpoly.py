@@ -182,6 +182,13 @@ def test_monomials_of_degree_count():
     assert len(monomials_of_degree(XYZW, 3)) == 20  # C(3+3,3)
 
 
+def test_monomials_of_degree_is_the_top_unrestricted_standard_level():
+    for n in range(1, 5):
+        vars = varset(*XYZW.names[:n])
+        for d in range(11):
+            assert monomials_of_degree(vars, d) == commpoly._standard_levels(n, (), d)[d]
+
+
 def test_local_report_artinian_pair():
     x, y, _, _ = _vars()
     v2 = varset("x", "y")

@@ -4,9 +4,11 @@ Many reductions, one after another, against one finished rule system (the
 pattern of ``derive_check`` and ``center_basis``) must match a full rescan
 that keeps nothing between steps.  The divisor search, which matches each
 rule's split lead by substring and multiset tests, must pick the rule that
-:func:`~ncdef.ncgb.find_division` picks.
+:func:`~ncdef.ncgb.find_division` picks.  While completion runs, every
+cached division must be the one a fresh search would find.
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from ncdef import ncgb
+from ncdef.exprparse import presentation_parse
 from ncdef.freealg import NcPoly, canon_word, genset, word_mul
 from ncdef.ncgb import RewriteRule, _divisor, find_division, nc_complete, nc_reduce
 from ncdef.zoo import (
@@ -25,23 +29,33 @@ from ncdef.zoo import (
 from oracle import rescan_reduce
 
 TRUNC = 7
-SYSTEMS = [
-    nc_complete(p, TRUNC)
-    for p in (
-        laufer_presentation(1, standard_lambda(1, 1)),
-        laufer_presentation(2, standard_lambda(2, 0)),
-        laufer_presentation(1, ["sym", "sym"]),
-        length2_claimed_presentation(),
-        karmazyn_contraction_presentation(2),
-    )
-]
+PRESENTATIONS = {
+    "laufer-1-e1": laufer_presentation(1, standard_lambda(1, 1)),
+    "laufer-2-0": laufer_presentation(2, standard_lambda(2, 0)),
+    "laufer-1-sym": laufer_presentation(1, ["sym", "sym"]),
+    "length2": length2_claimed_presentation(),
+    "karmazyn-2": karmazyn_contraction_presentation(2),
+    # most of its completed tail coefficients are not +-1
+    "non-unit": presentation_parse(
+        "generators: a b\ncentral: t\n"
+        "relations: a*b - 2*b*a + t*a; b^2 - 3/2*a^2 + t^2\n"
+    ),
+}
+
+
+@functools.cache
+def completed(name):
+    """The presentation completed at TRUNC, built on first use so that a
+    completion which never ends cannot stop the module from importing."""
+    return nc_complete(PRESENTATIONS[name], TRUNC)
+
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 
 
 @st.composite
 def reductions(draw):
-    gb = draw(st.sampled_from(SYSTEMS))
+    gb = completed(draw(st.sampled_from(list(PRESENTATIONS))))
     letters = st.lists(st.integers(0, len(gb.gens.names) - 1), max_size=TRUNC + 1)
     words = letters.map(lambda ls: canon_word(gb.gens, ls))
     polys = st.dictionaries(words, rationals, min_size=1, max_size=8)
@@ -91,3 +105,37 @@ def test_divisor_is_the_first_rule_find_division_accepts(case):
     gens, rules, w = case
     want = next((r for r in rules if find_division(gens, r.lead, w) is not None), None)
     assert _divisor(gens, rules, w) is want
+
+
+def _check_cached_divisions(gb):
+    gens, active = gb.gens, gb.active_rules()
+    for w, hit in gb.reductions.items():
+        first = next(
+            (r for r in active if find_division(gens, r.lead, w) is not None), None
+        )
+        if hit is None:
+            assert first is None
+            continue
+        key, rule, u, v = hit
+        assert rule.active and rule is first
+        assert (u, v) == find_division(gens, rule.lead, w)
+        assert word_mul(gens, word_mul(gens, u, rule.lead), v) == w
+        assert key == gb.order.rule_key(w)
+
+
+@pytest.mark.parametrize("trunc", [4, 5, 6, 7])
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_cached_divisions_stay_valid_during_completion(monkeypatch, name, trunc):
+    real = ncgb.nc_reduce
+    calls = 0
+
+    def checked(f, gb):
+        nonlocal calls
+        calls += 1
+        red = real(f, gb)
+        _check_cached_divisions(gb)
+        return red
+
+    monkeypatch.setattr(ncgb, "nc_reduce", checked)
+    nc_complete(PRESENTATIONS[name], trunc)
+    assert calls
