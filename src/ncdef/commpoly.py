@@ -8,9 +8,11 @@ bases, and local (truncation-stabilized) quotient reports.
 
 :func:`groebner` discards useless S-pairs before reducing them with the
 Gebauer-Moeller criteria (the B, M and F chain criteria and the coprime-lead
-criterion) and reduces the pair of lowest sugar degree, then smallest lcm,
-first.  A :class:`CommGB` carries each element's lead term, so normal forms
-and quotient bases do not recompute them.
+criterion), never queues a pair of two monomials, whose S-polynomial is zero,
+and reduces the pair of lowest sugar degree, then smallest lcm, first.  Its
+normal forms divide only by the live elements, those whose lead no later
+lead divides.  A :class:`CommGB` carries each element's lead term, so normal
+forms and quotient bases do not recompute them.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
+from operator import add, le, mul, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 Exponents = tuple[int, ...]
@@ -79,26 +82,26 @@ class GrlexOrder:
     def degree(self, exps: Exponents) -> int:
         if self.weights is None:
             return sum(exps)
-        return sum(w * e for w, e in zip(self.weights, exps))
+        return sum(map(mul, self.weights, exps))
 
     def key(self, exps: Exponents):
         return (self.degree(exps), exps)
 
 
 def _exps_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _exps_divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _exps_div(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _exps_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class Poly:
@@ -333,21 +336,29 @@ def partials(f: CommPoly) -> list[CommPoly]:
 @dataclass
 class CommGB:
     """Polynomials under a monomial order, with the lead term (exponents,
-    coefficient) of each one in ``leads``."""
+    coefficient) of each one in ``leads``.
+
+    ``reducers`` pairs each element :func:`normal_form` divides by with its
+    lead term: every element here, but only the live ones while
+    :func:`groebner` runs."""
 
     basis: list[CommPoly]
     order: GrlexOrder
     leads: list[tuple[Exponents, Fraction]] = field(
         init=False, repr=False, compare=False
     )
+    reducers: list[tuple[CommPoly, tuple[Exponents, Fraction]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.leads = [g.lead(self.order) for g in self.basis]
+        self.reducers = list(zip(self.basis, self.leads))
 
 
 def normal_form(f: CommPoly, gb: CommGB) -> CommPoly:
     key = gb.order.key
-    reducers = list(zip(gb.basis, gb.leads))
+    reducers = gb.reducers
     rem: dict[Exponents, Fraction] = {}
     work = dict(f.terms)
     while work:
@@ -394,10 +405,15 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
     one pair per lcm is kept) and then by the coprime-lead criterion; queued
     pairs go by the B chain criterion (lead(h) divides their lcm, which
     differs from both of their lcms with h); and the elements whose lead
-    lead(h) divides take no later pairs.  The queued pair with the lowest
-    sugar degree, and among those the smallest lcm under ``order.key``, is
-    reduced next, its S-polynomial by the module-level :func:`normal_form`.
-    On a homogeneous ideal the sugar degree is the degree of the lcm.
+    lead(h) divides take no later pairs.  A pair of two single-term elements
+    counts as coprime: its S-polynomial is zero, so it is never queued but
+    still serves the M and F criteria as a witness (Gebauer and Moeller,
+    JSC 6, 1988).  The queued pair with the lowest sugar degree, and among
+    those the smallest lcm under ``order.key``, is reduced next, its
+    S-polynomial by the module-level :func:`normal_form` over the live
+    elements only (``gb.reducers``): a retired lead is a multiple of a live
+    one, so the reducible terms are the same.  On a homogeneous ideal the
+    sugar degree is the degree of the lcm.
     """
     gb = CommGB([], order)
     leads: list[Exponents] = []  # lead exponents, parallel to gb.basis
@@ -413,7 +429,10 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
         leads.append(e)
         sugars.append(sugar)
         lcms = {i: _exps_lcm(leads[i], e) for i in live}
-        coprime = {i for i in live if lcms[i] == _exps_mul(leads[i], e)}
+        # a pair of two monomials has S-polynomial zero, like a coprime one
+        monomial = len(h.terms) == 1
+        coprime = {i for i in live if lcms[i] == _exps_mul(leads[i], e)
+                   or monomial and len(gb.basis[i].terms) == 1}
         pending, kept = list(live), []
         while pending:
             i = pending.pop()
@@ -435,6 +454,7 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
                 )
                 heappush(queue, (s, order.key(lcms[i]), i, k, lcms[i]))
         live[:] = [i for i in live if not _exps_divides(e, leads[i])] + [k]
+        gb.reducers = [(gb.basis[i], gb.leads[i]) for i in live]
 
     for g in gens:
         if not g.is_zero():
@@ -515,6 +535,14 @@ def monomials_of_degree(vars: VarSet, deg: int) -> list[Exponents]:
     )
 
 
+def cut_groebner(gens: Sequence[CommPoly], order: GrlexOrder, N: int) -> CommGB:
+    """Reduced basis of (gens) + every monomial of total degree N, whose
+    quotient is that of (gens) truncated below degree N."""
+    vars = order.vars
+    cut = [CommPoly.monomial(vars, e) for e in monomials_of_degree(vars, N)]
+    return groebner(list(gens) + cut, order)
+
+
 def graded_dims(degrees: Iterable[int]) -> list[int]:
     """Tally of basis elements by degree, from degree 0 to the largest one."""
     graded: dict[int, int] = {}
@@ -542,12 +570,9 @@ def local_report(
     certified by one-step stabilization of the truncated basis count."""
     if maxN < 2:
         raise ValueError(f"the maximum cutoff must be >= 2, got {maxN}")
-    vars = order.vars
     prev: Optional[QuotientBasis] = None
     for N in range(2, maxN + 1):
-        cut = [CommPoly.monomial(vars, e) for e in monomials_of_degree(vars, N)]
-        gb = groebner(list(gens) + cut, order)
-        qb = quotient_basis(gb, N)
+        qb = quotient_basis(cut_groebner(gens, order, N), N)
         if prev is not None and prev.dim == qb.dim:
             gd = graded_dims(sum(e) for e in prev.monomials)
             return LocalReport("finite", prev.dim, N - 1, gd, prev.monomials)

@@ -89,7 +89,7 @@ def word_mul(gens: GenSet, u: Word, v: Word) -> Word:
 
 
 def word_weight(gens: GenSet, w: Word) -> int:
-    return sum(gens.weights[i] for i in w)
+    return sum(map(gens.weights.__getitem__, w))
 
 
 def word_str(gens: GenSet, w: Word) -> str:
@@ -123,7 +123,7 @@ class NcOrder:
         return word_weight(self.gens, w)
 
     def _cvec(self, w: Word) -> tuple[int, ...]:
-        return tuple(sum(1 for x in w if x == i) for i in self._central_idx)
+        return tuple(map(w.count, self._central_idx))
 
     def key(self, w: Word):
         return (self.degree(w), len(w), self._cvec(w), word_split(self.gens, w)[1])

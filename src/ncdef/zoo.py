@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .commpoly import CommPoly, GrlexOrder, VarSet, groebner, monomials_of_degree
+from .commpoly import CommPoly, GrlexOrder, VarSet, cut_groebner
 from .freealg import (
     GenSet,
     NcPoly,
@@ -600,11 +600,9 @@ class InvariantTable:
 def _reduced_local_gb(p: Presentation, N: int) -> list[CommPoly]:
     """Reduced commutative basis of (abelianized relations) + all degree-N
     monomials, used to compare abelianizations as honest ideals."""
-    vars = VarSet(p.gens.names)
-    order = GrlexOrder(vars)
+    order = GrlexOrder(VarSet(p.gens.names))
     gens = [g for g in (nc_abelianize(r) for r in p.relations) if not g.is_zero()]
-    cut = [CommPoly.monomial(vars, e) for e in monomials_of_degree(vars, N)]
-    return groebner(gens + cut, order).basis
+    return cut_groebner(gens, order, N).basis
 
 
 def invariant_table(n: int, maxN: Optional[int] = None) -> InvariantTable:

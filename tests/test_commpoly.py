@@ -1,5 +1,8 @@
 import itertools
+import json
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,7 @@ from ncdef.commpoly import (
     monomials_of_degree,
     normal_form,
     partials,
+    poly_str,
     quotient_basis,
     substitute,
     varset,
@@ -224,6 +228,34 @@ def test_local_report_criteria_prune_pairs(monkeypatch):
     assert 0 < len(calls) <= 1500
 
 
+def test_monomial_pairs_are_never_reduced(monkeypatch):
+    """Two monomials have S-polynomial zero, so groebner queues no pair of
+    them: on a monomial ideal its only normal forms are those of the tail
+    inter-reduction, one per basis element, and the cut monomials of the f0
+    tower cost no reductions."""
+    inputs = []
+    inner = commpoly.normal_form
+
+    def counting(f, gb):
+        inputs.append(f)
+        return inner(f, gb)
+
+    monkeypatch.setattr(commpoly, "normal_form", counting)
+    x, y, z, w = _vars()
+    gens = [x * x, y * z, w ** 3] + [
+        CommPoly.monomial(XYZW, e) for e in monomials_of_degree(XYZW, 3)
+    ]
+    gb = groebner(gens, GrlexOrder(XYZW))
+    assert all(len(g.terms) == 1 for g in gb.basis)
+    assert len(inputs) == len(gb.basis)
+    assert all(f.is_zero() for f in inputs)  # the empty tail of each monomial
+
+    inputs.clear()
+    rep = local_report(partials(_f0(1)), GrlexOrder(XYZW), 20)
+    assert (rep.status, rep.dim, rep.certified_at) == ("finite", 11, 6)
+    assert 0 < len(inputs) <= 120
+
+
 def _fermat(vars, degree):
     """sum_i l_i^degree for the fixed change of coordinates l = L*U*x, with
     L lower triangular of ones and U unit upper triangular with 2 above the
@@ -279,3 +311,56 @@ def test_reduced_basis_matches_sympy(kind, arg):
     gb = groebner(gens, GrlexOrder(vars))
     assert {frozenset(g.terms.items()) for g in gb.basis} == expected
     assert len(gb.basis) == len(expected)
+
+
+# ------------------------------------------------------ pinned reduced bases
+
+COMMPOLY_BASES = pathlib.Path(__file__).parent / "golden" / "commpoly_bases.json"
+
+
+def _commpoly_bases():
+    """Reduced bases, as text, of J(f0) under plain grlex and under its
+    quasi-homogeneous weights x18, of the cut ideals J(f0) + m^N, and of the
+    Fermat Jacobians above; and the fields of local_report(J(f0), 20).
+    Weighted grlex has no sympy oracle, so this pin is its guard."""
+    jac = partials(_f0(1))
+    order = GrlexOrder(XYZW)
+
+    def basis(gens, order):
+        return [poly_str(g) for g in groebner(gens, order).basis]
+
+    rep = local_report(jac, order, 20)
+    return {
+        "jacobian": basis(jac, order),
+        "jacobian_weighted_9_6_7_4": basis(jac, GrlexOrder(XYZW, (9, 6, 7, 4))),
+        "cut": {
+            N: basis(jac + [CommPoly.monomial(XYZW, e)
+                            for e in monomials_of_degree(XYZW, N)], order)
+            for N in range(2, 9)
+        },
+        "fermat": {
+            f"{nvars}-{degree}": basis(partials(_fermat(vars, degree)), GrlexOrder(vars))
+            for nvars, degree in ((3, 3), (3, 4), (4, 3))
+            for vars in [varset(*XYZW.names[:nvars])]
+        },
+        "local_report": {
+            "status": rep.status,
+            "dim": rep.dim,
+            "certified_at": rep.certified_at,
+            "graded_dims": rep.graded_dims,
+            "basis": rep.basis,
+        },
+    }
+
+
+def _commpoly_bases_text():
+    return json.dumps(_commpoly_bases(), indent=1, sort_keys=True) + "\n"
+
+
+def test_reduced_bases_match_pinned():
+    assert _commpoly_bases_text() == COMMPOLY_BASES.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    COMMPOLY_BASES.write_text(_commpoly_bases_text(), encoding="utf-8")
+    print(f"recorded {COMMPOLY_BASES.name}", file=sys.stderr)

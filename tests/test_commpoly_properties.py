@@ -1,6 +1,8 @@
 """Property tests of the commutative Buchberger engine on random small
 ideals, under plain and weighted grlex (sympy has no weighted grlex, so this
-is the guard for weighted orders).  A pair discarded by a wrong criterion
+is the guard for weighted orders).  Generators may be pure monomials, and an
+ideal may carry every monomial of one degree, so pairs of two monomials,
+which are never reduced, are exercised.  A pair discarded by a wrong criterion
 shows up as an S-polynomial that does not reduce to zero, or as a basis
 that depends on the order of the generators."""
 
@@ -11,7 +13,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from ncdef.commpoly import CommPoly, GrlexOrder, groebner, normal_form, varset
+from ncdef.commpoly import (
+    CommPoly,
+    GrlexOrder,
+    groebner,
+    monomials_of_degree,
+    normal_form,
+    varset,
+)
 
 
 @st.composite
@@ -21,8 +30,13 @@ def ideals(draw):
     weights = draw(st.none() | st.tuples(*[st.integers(1, 3)] * nvars))
     monomial = st.tuples(*[st.integers(0, 2)] * nvars)
     coeff = st.integers(-3, 3).filter(bool)
-    polys = st.dictionaries(monomial, coeff, min_size=1, max_size=3)
+    term = st.dictionaries(monomial, st.just(1), min_size=1, max_size=1)
+    polys = st.dictionaries(monomial, coeff, min_size=1, max_size=3) | term
     gens = [CommPoly(vars, t) for t in draw(st.lists(polys, min_size=1, max_size=3))]
+    # every monomial of one degree, as local_report's cut ideals carry
+    cut = draw(st.none() | st.integers(2, 4))
+    if cut is not None:
+        gens += [CommPoly.monomial(vars, e) for e in monomials_of_degree(vars, cut)]
     return gens, GrlexOrder(vars, weights)
 
 
