@@ -7,7 +7,9 @@ usage or parse error, an unwritable ``--out`` path, or when the engine cannot
 finish (the completion step limit is exceeded, or two independent
 computations disagree, such as a certificate that does not replay); each
 exit-2 error is one line on stderr.
-``NCDEF_MAX_DEGREE`` overrides the default truncation degree.
+Only ``zoo`` and ``gb`` take ``--max-degree``, the truncation degree (default
+20, or ``NCDEF_MAX_DEGREE``); the other subcommands truncate nothing and
+reject it (exit 2).
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ def _cmd_matfac(args) -> dict[str, Any]:
         for name, good in polynomial_identity_suite(n).items():
             checks.append(_check(f"polynomial:n={n}:{name}",
                                  "pass" if good else "fail"))
-    return _doc("matfac", {"mode": "verify-all"}, checks)
+    return _doc("matfac", {"mode": args.mode}, checks)
 
 
 def _cmd_bundle(args) -> dict[str, Any]:
@@ -286,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--max-degree", type=int, default=default_max)
         p.add_argument("--report", choices=["json", "text"], default="json")
         p.add_argument("--out", default=None)
 
@@ -306,6 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     gb = sub.add_parser("gb", help="quotient report for a presentation file")
     gb.add_argument("file")
     common(gb)
+    # only the commands that compute a quotient take a truncation degree
+    for p in (zl, z2, zk, gb):
+        p.add_argument("--max-degree", type=int, default=default_max)
 
     mf = sub.add_parser("matfac", help="matrix-factorization checks")
     mf.add_argument("mode", choices=["verify-all"])

@@ -11,8 +11,9 @@ Gebauer-Moeller criteria (the B, M and F chain criteria and the coprime-lead
 criterion), never queues a pair of two monomials, whose S-polynomial is zero,
 and reduces the pair of lowest sugar degree, then smallest lcm, first.  Its
 normal forms divide only by the live elements, those whose lead no later
-lead divides.  A :class:`CommGB` carries each element's lead term, so normal
-forms and quotient bases do not recompute them.
+lead divides.  A :class:`CommGB` is monic and carries one list of its
+elements' lead exponents, so normal forms and quotient bases neither
+recompute a lead nor divide by its coefficient.
 """
 
 from __future__ import annotations
@@ -335,24 +336,25 @@ def partials(f: CommPoly) -> list[CommPoly]:
 
 @dataclass
 class CommGB:
-    """Polynomials under a monomial order, with the lead term (exponents,
-    coefficient) of each one in ``leads``.
+    """Monic polynomials under a monomial order, with the lead exponents of
+    each one in ``leads``; a non-monic element raises ``ValueError``.
 
     ``reducers`` pairs each element :func:`normal_form` divides by with its
-    lead term: every element here, but only the live ones while
+    lead exponents: every element here, but only the live ones while
     :func:`groebner` runs."""
 
     basis: list[CommPoly]
     order: GrlexOrder
-    leads: list[tuple[Exponents, Fraction]] = field(
-        init=False, repr=False, compare=False
-    )
-    reducers: list[tuple[CommPoly, tuple[Exponents, Fraction]]] = field(
+    leads: list[Exponents] = field(init=False, repr=False, compare=False)
+    reducers: list[tuple[CommPoly, Exponents]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        self.leads = [g.lead(self.order) for g in self.basis]
+        leads = [g.lead(self.order) for g in self.basis]
+        if any(c != 1 for _, c in leads):
+            raise ValueError("basis elements must be monic")
+        self.leads = [e for e, _ in leads]
         self.reducers = list(zip(self.basis, self.leads))
 
 
@@ -364,16 +366,15 @@ def normal_form(f: CommPoly, gb: CommGB) -> CommPoly:
     while work:
         e = max(work, key=key)
         c = work.pop(e)
-        for g, (ge, gc) in reducers:
+        for g, ge in reducers:
             if _exps_divides(ge, e):
                 qe = _exps_div(e, ge)
-                qc = c / gc
                 for te, tc in g.terms.items():
                     ne = _exps_mul(qe, te)
                     if ne == e:
                         continue
                     nv = work.get(ne)
-                    nv = -qc * tc if nv is None else nv - qc * tc
+                    nv = -c * tc if nv is None else nv - c * tc
                     if nv:
                         work[ne] = nv
                     else:
@@ -416,7 +417,7 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
     sugar degree is the degree of the lcm.
     """
     gb = CommGB([], order)
-    leads: list[Exponents] = []  # lead exponents, parallel to gb.basis
+    leads = gb.leads  # lead exponents, parallel to gb.basis
     sugars: list[int] = []  # sugar degrees, parallel to gb.basis
     live: list[int] = []  # elements that take pairs with later ones
     queue: list[tuple] = []  # heap of (sugar, order.key(lcm), i, j, lcm)
@@ -425,7 +426,6 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
         e, c = h.lead(order)
         k = len(gb.basis)
         gb.basis.append(h.scale(1 / c))
-        gb.leads.append((e, Fraction(1)))
         leads.append(e)
         sugars.append(sugar)
         lcms = {i: _exps_lcm(leads[i], e) for i in live}
@@ -454,7 +454,7 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
                 )
                 heappush(queue, (s, order.key(lcms[i]), i, k, lcms[i]))
         live[:] = [i for i in live if not _exps_divides(e, leads[i])] + [k]
-        gb.reducers = [(gb.basis[i], gb.leads[i]) for i in live]
+        gb.reducers = [(gb.basis[i], leads[i]) for i in live]
 
     for g in gens:
         if not g.is_zero():
@@ -476,11 +476,11 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
     )
     tails = CommGB([gb.basis[k] for k in minimal], order)
     reduced = []
-    for g, (e, c) in zip(tails.basis, tails.leads):
+    for g, e in zip(tails.basis, tails.leads):
         # lead(g) divides none of its own tail terms, which lie below it, so
         # reducing the tail by all of ``tails`` reduces it by the others
         tail = CommPoly(g.vars, {t: v for t, v in g.terms.items() if t != e})
-        reduced.append(CommPoly(g.vars, {e: c, **normal_form(tail, tails).terms}))
+        reduced.append(CommPoly(g.vars, {e: 1, **normal_form(tail, tails).terms}))
     return CommGB(reduced, order)
 
 
@@ -520,7 +520,7 @@ def quotient_basis(gb: CommGB, bound: int) -> QuotientBasis:
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    levels = _standard_levels(len(gb.order.vars), [e for e, _ in gb.leads], bound - 1)
+    levels = _standard_levels(len(gb.order.vars), gb.leads, bound - 1)
     finite = bound >= 2 and not levels[-1] and not levels[-2]
     monomials = [e for level in levels for e in level]
     return QuotientBasis(monomials, finite, len(monomials))

@@ -181,6 +181,8 @@ def presentation_parse(text: str) -> Presentation:
             raise ParseError("weights must be integers", wline, 1) from None
         if len(weights) != len(names):
             raise ParseError("need one weight per generator", wline, 1)
+        if min(weights) < 1:
+            raise ParseError("weights must be >= 1", wline, 1)
         order = "wdeglex"
     central: list[str] = []
     if "central" in headers:
@@ -194,11 +196,7 @@ def presentation_parse(text: str) -> Presentation:
         names = extra + names
         if weights is not None:
             weights = [1] * len(extra) + weights
-    commutative = bool(names) and all(n in central for n in names)
-    try:
-        gens = genset(names, weights, central, commutative=commutative)
-    except ValueError as exc:
-        raise ParseError(str(exc), gline, 1) from None
+    gens = genset(names, weights, central)
     relations: list[NcPoly] = []
     if "relations" in headers:
         rtext, rline = headers["relations"]

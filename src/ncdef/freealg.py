@@ -12,7 +12,7 @@ and degree-compatible on canonical words; the empty word is minimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -28,11 +28,12 @@ class CentralityError(ValueError):
 @dataclass(frozen=True)
 class GenSet(VarSet):
     """Generator names with weights and centrality; names are checked, and
-    looked up by :meth:`~ncdef.commpoly.VarSet.index`, as for any variable set."""
+    looked up by :meth:`~ncdef.commpoly.VarSet.index`, as for any variable set.
+    ``commutative`` is derived: it holds when every generator is central."""
 
     weights: tuple[int, ...]
     central: tuple[bool, ...]
-    commutative: bool = False
+    commutative: bool = field(init=False)
 
     _noun = "generator"
 
@@ -42,18 +43,17 @@ class GenSet(VarSet):
             raise ValueError("weights/centrality must match generator count")
         if any(w < 1 for w in self.weights):
             raise ValueError("weights must be >= 1")
-        if not self.commutative and all(self.central):
-            raise ValueError(
-                "all generators central: declare the presentation commutative"
-            )
+        object.__setattr__(self, "commutative", all(self.central))
 
 
 def genset(
     names: Sequence[str],
     weights: Optional[Sequence[int]] = None,
     central: Sequence[str] = (),
-    commutative: bool = False,
 ) -> GenSet:
+    """The generator set of ``names`` (weights default to 1) in which the
+    names in ``central`` commute with everything; it is commutative exactly
+    when every name is central."""
     names = tuple(names)
     if weights is None:
         weights = (1,) * len(names)
@@ -61,7 +61,7 @@ def genset(
     unknown = cset - set(names)
     if unknown:
         raise ValueError(f"central names not among generators: {sorted(unknown)}")
-    return GenSet(names, tuple(weights), tuple(n in cset for n in names), commutative)
+    return GenSet(names, tuple(weights), tuple(n in cset for n in names))
 
 
 # -- word helpers -----------------------------------------------------------

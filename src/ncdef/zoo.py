@@ -18,16 +18,15 @@ nothing is entered by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .commpoly import CommPoly, GrlexOrder, VarSet, cut_groebner
+from .commpoly import CommPoly, GrlexOrder, VarSet, cut_groebner, substitute
 from .freealg import (
     GenSet,
     NcPoly,
     Word,
-    canon_word,
     commutator,
     genset,
     nc_abelianize,
@@ -35,7 +34,6 @@ from .freealg import (
 from .ncgb import (
     ClaimResult,
     Presentation,
-    QuotientReport,
     abelianization_report,
     center_basis,
     derive_check,
@@ -133,7 +131,7 @@ def length2_central_elements() -> dict[str, NcPoly]:
 def length2_scheme_presentation() -> Presentation:
     """Deformation algebra of the length-2 scheme fiber: free commutative
     power series on u, v, w (no relations)."""
-    g = genset(["u", "v", "w"], central=["u", "v", "w"], commutative=True)
+    g = genset(["u", "v", "w"], central=["u", "v", "w"])
     return Presentation(g, (), "deglex")
 
 
@@ -154,12 +152,6 @@ class Length2Report:
     backward: list[SuiteCheck]
     abelianized: list[SuiteCheck]
     s1: list[SuiteCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(
-            c.ok for c in self.forward + self.backward + self.abelianized + self.s1
-        )
 
 
 def _centrality_claims(
@@ -309,7 +301,7 @@ def karmazyn_contraction_presentation(l: int) -> Presentation:
     whose quotient is the ground field.
     """
     if l == 1:
-        g = genset(["t"], central=["t"], commutative=True)
+        g = genset(["t"], central=["t"])
         return Presentation(g, (NcPoly.gen(g, "t"),), "deglex")
     if l not in _CONSTANTS:
         raise ValueError("length must be in 1..6")
@@ -486,15 +478,6 @@ def backward_central_expressions(l: int) -> list[tuple[str, NcPoly]]:
     return _central_expressions(l, _claimed_genset(l))
 
 
-def _transport(f: NcPoly, target: GenSet) -> NcPoly:
-    """Re-express a polynomial over a generator set containing the same
-    names (used to move claims between claimed/full generator sets)."""
-    terms = {}
-    for w, coef in f.terms.items():
-        terms[canon_word(target, [target.index(f.gens.names[i]) for i in w])] = coef
-    return NcPoly(target, terms)
-
-
 @dataclass
 class RelationVerdict:
     slot: int
@@ -509,10 +492,8 @@ class RelationVerdict:
 
 @dataclass
 class HigherLengthReport:
-    l: int
     forward: list[RelationVerdict]
     backward: list[SuiteCheck]
-    corrected: dict[int, NcPoly] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -538,11 +519,10 @@ def verify_higher_length(l: int, trunc: int = 8) -> HigherLengthReport:
     batch: list[NcPoly] = []
     for readings, corr in zip(slots, corrections):
         batch += [p for _, p in readings] + ([corr] if corr is not None else [])
-    results = iter(derive_check(source, [_transport(p, source.gens) for p in batch],
-                                trunc))
+    results = iter(derive_check(
+        source, [substitute(p, {}, source.gens) for p in batch], trunc))
     forward: list[RelationVerdict] = []
     chosen: list[NcPoly] = []
-    corrected: dict[int, NcPoly] = {}
     for si, (readings, corr) in enumerate(zip(slots, corrections)):
         res = [next(results) for _ in readings]
         cres = next(results) if corr is not None else None
@@ -559,7 +539,6 @@ def verify_higher_length(l: int, trunc: int = 8) -> HigherLengthReport:
             cstat = cres.status
             if cstat == "certified-zero":
                 chosen.append(corr)
-                corrected[si] = corr
         forward.append(RelationVerdict(si, hit, statuses, cstat))
 
     backward: list[SuiteCheck] = []
@@ -567,7 +546,7 @@ def verify_higher_length(l: int, trunc: int = 8) -> HigherLengthReport:
         g = _claimed_genset(l)
         claims = _centrality_claims(_central_expressions(l, g), g, ("b", "c"))
         backward = _certify(Presentation(g, tuple(chosen), "deglex"), claims, trunc)
-    return HigherLengthReport(l, forward, backward, corrected)
+    return HigherLengthReport(forward, backward)
 
 
 # -- invariant table ---------------------------------------------------------
@@ -592,10 +571,6 @@ class InvariantTable:
     rows: list[ZooRow]
     checks: dict[str, bool]
 
-    @property
-    def ok(self) -> bool:
-        return all(self.checks.values())
-
 
 def _reduced_local_gb(p: Presentation, N: int) -> list[CommPoly]:
     """Reduced commutative basis of (abelianized relations) + all degree-N
@@ -605,16 +580,14 @@ def _reduced_local_gb(p: Presentation, N: int) -> list[CommPoly]:
     return cut_groebner(gens, order, N).basis
 
 
-def invariant_table(n: int, maxN: Optional[int] = None) -> InvariantTable:
+def invariant_table(n: int) -> InvariantTable:
     """Rows for the specializations A_0 .. A_{2n} and the cross-family
     checks: the equality of the top dimensions with 6n+3, the expected
     abelianization dimensions, the identity of the A_0 and A_{n+j}
     abelianized ideals, and the quadratic classification (symmetric span 2,
-    alternating span 0)."""
-    if maxN is None:
-        maxN = 4 * n + 6
+    alternating span 0), each quotient truncated at degree 4n+6."""
+    maxN = 4 * n + 6
     rows: list[ZooRow] = []
-    reports: list[QuotientReport] = []
     presentations: list[Presentation] = []
     ab_ns: list[int] = []
     for i in range(2 * n + 1):
@@ -637,7 +610,6 @@ def invariant_table(n: int, maxN: Optional[int] = None) -> InvariantTable:
                 antisym_rank=quad.antisym_rank,
             )
         )
-        reports.append(rep)
         presentations.append(p)
         ab_ns.append(ab.comm_report.certified_at or maxN)
 
@@ -743,7 +715,7 @@ def superpotential_check(n: int, lam: Sequence[LambdaEntry]) -> SuperpotentialRe
         )
 
     family = laufer_presentation(n, lam)
-    want = {_transport(r, g) for r in family.relations}
+    want = {substitute(r, {}, g) for r in family.relations}
     got = {drop(displayed["a"]), drop(displayed["b"])}
     rest_vanish = all(
         drop(displayed[x]).is_zero() for x in "cdw"

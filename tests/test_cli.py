@@ -1,4 +1,8 @@
+import argparse
+import ast
+import inspect
 import json
+import textwrap
 
 from ncdef.cli import main, run_command
 
@@ -332,9 +336,40 @@ def test_karmazyn_uncertified_slot_is_a_mismatch(monkeypatch, capsys):
 
     slot = RelationVerdict(1, None, [("claimed", "inconclusive")], "inconclusive")
     monkeypatch.setattr(cli, "verify_higher_length",
-                        lambda l, trunc: HigherLengthReport(l, [slot], []))
+                        lambda l, trunc: HigherLengthReport([slot], []))
     code, doc, _ = run(capsys, "zoo", "karmazyn", "--length", "3", "--verify")
     assert code == 1 and not doc["ok"]
     (check,) = doc["checks"]
     assert check["name"] == "forward:relation-1" and check["status"] == "mismatch"
     assert check["detail"]["corrected_status"] == "inconclusive"
+
+
+def _leaf_parsers(parser, handler=None):
+    """(parser, handler) for each parser without subcommands, where the
+    handler is the top-level subcommand's entry in ``cli._DISPATCH``."""
+    from ncdef import cli
+
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield parser, handler
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, handler or cli._DISPATCH[name])
+
+
+def test_every_option_is_read_by_its_handler():
+    from ncdef import cli
+
+    routed = {"help", "subcommand", "family", "report", "out"}
+    leaves = list(_leaf_parsers(cli.build_parser()))
+    assert len(leaves) == 7
+    unread = {}
+    for parser, handler in leaves:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(handler)))
+        read = {n.attr for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == "args"}
+        missing = {a.dest for a in parser._actions} - routed - read
+        if missing:
+            unread[parser.prog] = sorted(missing)
+    assert unread == {}

@@ -9,6 +9,7 @@ import pytest
 
 from ncdef import commpoly
 from ncdef.commpoly import (
+    CommGB,
     CommPoly,
     GrlexOrder,
     VarSetError,
@@ -138,6 +139,14 @@ def test_groebner_normal_form_properties():
         g = _rand_poly(rng)
         # normal form is linear
         assert normal_form(f + g, gb) == normal_form(f, gb) + normal_form(g, gb)
+
+
+def test_basis_must_be_monic():
+    x, y, _, _ = _vars()
+    order = GrlexOrder(XYZW)
+    with pytest.raises(ValueError, match="monic"):
+        CommGB([x.scale(2)], order)
+    assert CommGB([x, y * y - x], order).leads == [(1, 0, 0, 0), (0, 2, 0, 0)]
 
 
 def test_quotient_basis_finite_and_infinite():

@@ -82,6 +82,8 @@ def test_presentation_parse_comments_and_blanks():
         "# demo algebra\n\ngenerators: a b\n\nrelations: a^2\n"
     )
     assert len(p.relations) == 1
+    p = presentation_parse("generators: a b\nrelations: a*b ; ; b^2 ;\n")
+    assert p.relations == (A * B, B * B)
 
 
 def test_presentation_central_extends_generators():
@@ -105,6 +107,7 @@ def test_presentation_parse_errors():
         ("generators: a\nbogus: 1\n", "unknown header"),
         ("generators: a\nweights: 1 2\n", "one weight per"),
         ("generators: a\nweights: x\n", "integers"),
+        ("generators: a\ncentral: t t\n", "duplicate central name"),
         ("generators:\n", "no generators"),
         ("generators: a\nrelations: a + 1\n", ""),
         ("generators a\n", "header"),
@@ -119,6 +122,16 @@ def test_parse_error_reports_relation_line():
     with pytest.raises(ParseError) as e:
         presentation_parse("generators: a\n\nrelations: a + %\n")
     assert e.value.line == 3
+
+
+@pytest.mark.parametrize("text, line", [
+    ("generators: a b\nweights: 0 2\n", 2),
+    ("generators: a b\n\nweights: 3 -1\n", 3),
+])
+def test_parse_error_reports_weights_line(text, line):
+    with pytest.raises(ParseError, match="weights must be >= 1") as e:
+        presentation_parse(text)
+    assert e.value.line == line
 
 
 # ------------------------------------------------------------- round trips

@@ -161,7 +161,6 @@ def test_verify_higher_length_6_needs_correction():
     last = rep.forward[2]
     assert last.reading is None  # no stated reading certifies
     assert last.corrected_status == "certified-zero"
-    assert 2 in rep.corrected
     assert all(c.ok for c in rep.backward)
 
 
