@@ -6,10 +6,11 @@ Subcommands: ``zoo`` (laufer | length2 | karmazyn), ``gb``, ``matfac``,
 usage or parse error, an unwritable ``--out`` path, or when the engine cannot
 finish (the completion step limit is exceeded, or two independent
 computations disagree, such as a certificate that does not replay); each
-exit-2 error is one line on stderr.
+exit-2 error, argparse's usage errors included, is one ``ncdef: error:`` line
+on stderr.
 Only ``zoo`` and ``gb`` take ``--max-degree``, the truncation degree (default
-20, or ``NCDEF_MAX_DEGREE``); the other subcommands truncate nothing and
-reject it (exit 2).
+20, or ``NCDEF_MAX_DEGREE``); the other subcommands truncate nothing, reject
+it (exit 2) and never read ``NCDEF_MAX_DEGREE``.
 """
 
 from __future__ import annotations
@@ -274,16 +275,27 @@ def _cmd_identities(args) -> dict[str, Any]:
     return _doc("identities", {"n": args.n, "lambda": lam}, checks)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _env_max_degree() -> int:
     env_max = os.environ.get("NCDEF_MAX_DEGREE")
     try:
-        default_max = int(env_max) if env_max else DEFAULT_MAX_DEGREE
+        return int(env_max) if env_max else DEFAULT_MAX_DEGREE
     except ValueError:
         raise ValueError(
             f"NCDEF_MAX_DEGREE must be an integer, got {env_max!r}"
         ) from None
 
-    top = argparse.ArgumentParser(prog="ncdef", description=__doc__)
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line, without the usage text."""
+
+    def error(self, message: str):
+        self.exit(2, f"ncdef: error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; an omitted ``--max-degree`` parses to None
+    and :func:`run_command` fills it in from the environment."""
+    top = _Parser(prog="ncdef", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="subcommand", required=True)
 
@@ -309,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(gb)
     # only the commands that compute a quotient take a truncation degree
     for p in (zl, z2, zk, gb):
-        p.add_argument("--max-degree", type=int, default=default_max)
+        p.add_argument("--max-degree", type=int, default=None,
+                       help=f"default: NCDEF_MAX_DEGREE, else {DEFAULT_MAX_DEGREE}")
 
     mf = sub.add_parser("matfac", help="matrix-factorization checks")
     mf.add_argument("mode", choices=["verify-all"])
@@ -351,6 +364,8 @@ _DISPATCH = {
 def run_command(argv: list[str]) -> tuple[int, Optional[dict[str, Any]]]:
     try:
         args = build_parser().parse_args(argv)
+        if "max_degree" in vars(args) and args.max_degree is None:
+            args.max_degree = _env_max_degree()
     except SystemExit as exc:
         return (0 if exc.code == 0 else 2), None
     except ValueError as exc:  # malformed NCDEF_MAX_DEGREE

@@ -22,6 +22,17 @@ the many reductions between two such changes divide each word only once.
 Each rule splits its lead once, into a multiset of central letters and a
 string key of its noncommutative letters, so finding a divisor is a C-level
 substring search per rule rather than a scan of the word's factors.
+
+For a fixed rule set, :func:`nc_reduce` is linear in its input.  The rule
+key is multiplicative, so a rewrite step creates only words whose key is
+below that of the word it rewrote; the kernel always rewrites the reducible
+word of largest key, so keys strictly decrease and each word is rewritten at
+most once, with its whole accumulated coefficient; truncation is a
+projection, and a word whose coefficient cancels contributes zero.  Hence
+NF(sum c*w) = sum c*NF(w).  Completion uses this for cutoff extensions,
+which need only a yes/no "does it vanish": it memoizes the normal forms of
+single words between two rule changes and sends only the few extensions
+that survive through :func:`nc_reduce`.
 """
 
 from __future__ import annotations
@@ -228,6 +239,17 @@ def _irreducible_levels(
 _UNSEEN = object()  # marks a word missing from ``TruncatedGB.reductions``
 
 
+def _cache_division(
+    gb: TruncatedGB, active: Sequence[RewriteRule], w: Word
+) -> Optional[tuple[tuple, RewriteRule, Word, Word]]:
+    """Find, store in ``gb.reductions`` and return the entry of a word the
+    cache has not seen; ``active`` must be ``gb.active_rules()``."""
+    rule = _divisor(gb.gens, active, w)
+    hit = gb.reductions[w] = None if rule is None else (
+        gb.order.rule_key(w), rule, *find_division(gb.gens, rule.lead, w))
+    return hit
+
+
 @dataclass
 class ReduceResult:
     poly: NcPoly
@@ -245,8 +267,14 @@ def nc_reduce(f: NcPoly, gb: TruncatedGB) -> ReduceResult:
     in ``truncated``.  A word's rule key, which rule divides it and the
     division itself are looked up in ``gb.reductions`` and computed only for
     words not seen since the active rules last changed.
+
+    The normal form is linear in ``f`` (module docstring): each word is
+    rewritten at most once, with its whole coefficient, so it equals the
+    sum of ``c * NF(w)`` over the terms of ``f``.  The trace and the
+    ``truncated`` flag are not linear in this way, since a word whose
+    coefficient cancels is never rewritten.
     """
-    gens, order, cache = gb.gens, gb.order, gb.reductions
+    gens, cache = gb.gens, gb.reductions
     active: Optional[list[RewriteRule]] = None
     work: dict[Word, Fraction] = {}
     truncated = False
@@ -263,9 +291,7 @@ def nc_reduce(f: NcPoly, gb: TruncatedGB) -> ReduceResult:
             if hit is _UNSEEN:
                 if active is None:
                     active = gb.active_rules()
-                rule = _divisor(gens, active, w)
-                hit = cache[w] = None if rule is None else (
-                    order.rule_key(w), rule, *find_division(gens, rule.lead, w))
+                hit = _cache_division(gb, active, w)
             if hit is not None and (best is None or hit[0] > best[0]):
                 best, best_w = hit, w
         if best is None:
@@ -287,6 +313,75 @@ def nc_reduce(f: NcPoly, gb: TruncatedGB) -> ReduceResult:
                 del work[nw]
         trace.append((c, u, rule.idx, v))
     return ReduceResult(NcPoly(gens, work), trace, truncated)
+
+
+_ONE = Fraction(1)  # a Fraction leaf keeps products off int's reflected operators
+
+
+def _tail_vanishes(
+    gb: TruncatedGB,
+    memo: dict[Word, dict[Word, Fraction]],
+    u: Word,
+    tail: NcPoly,
+    v: Word,
+) -> bool:
+    """Whether ``u * tail * v`` has normal form zero (see :func:`nc_reduce`).
+
+    By the linearity of :func:`nc_reduce`, this is the sum over tail terms
+    ``tc * tw`` of ``tc * NF(u * tw * v)``.  ``memo`` maps words to their
+    normal forms and fills as a side effect: ``NF(w)`` is ``w`` for an
+    irreducible word and, for ``w = u' * lead * v'`` as cached in
+    ``gb.reductions``, the same sum over that rule's tail.  The memo reads
+    the tails as well as the leads, so it is valid only while neither the
+    active rules nor any tail changes.  Words are expanded with an explicit
+    stack, children before parents.
+    """
+    gens, trunc, cache = gb.gens, gb.trunc, gb.reductions
+    active: Optional[list[RewriteRule]] = None
+
+    def children(u: Word, tail: NcPoly, v: Word) -> list[tuple[Word, Fraction]]:
+        out = []
+        for tw, tc in tail.terms.items():
+            w = word_mul(gens, word_mul(gens, u, tw), v)
+            if len(w) < trunc:
+                out.append((w, tc))
+        return out
+
+    def combine(kids: list[tuple[Word, Fraction]]) -> dict[Word, Fraction]:
+        nf: dict[Word, Fraction] = {}
+        for w, tc in kids:
+            for x, c in memo[w].items():
+                t = c if tc == 1 else -c if tc == -1 else c * tc
+                if x not in nf:
+                    nf[x] = t
+                elif s := nf[x] + t:
+                    nf[x] = s
+                else:
+                    del nf[x]
+        return nf
+
+    top = children(u, tail, v)
+    stack: list[tuple[Word, Optional[list]]] = [(w, None) for w, _ in top]
+    while stack:
+        w, kids = stack.pop()
+        if kids is not None:  # second visit: every child is in the memo
+            memo[w] = combine(kids)
+            continue
+        if w in memo:
+            continue
+        hit = cache.get(w, _UNSEEN)
+        if hit is _UNSEEN:
+            if active is None:
+                active = gb.active_rules()
+            hit = _cache_division(gb, active, w)
+        if hit is None:
+            memo[w] = {w: _ONE}
+            continue
+        _, rule, wu, wv = hit
+        kids = children(wu, rule.tail, wv)
+        stack.append((w, kids))
+        stack.extend((x, None) for x, _ in kids if x not in memo)
+    return not combine(top)
 
 
 def _conj(gens: GenSet, u: Word, prov: Provenance, v: Word, c: Fraction) -> Provenance:
@@ -431,6 +526,15 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         lie in m^trunc and vanish from every computation) while u*tail*v does
         not; the surviving tail part is then a member of I + m^trunc that no
         critical pair ever sees.  Queue exactly the products in that window.
+
+        Almost all of these items reduce to zero, so the main loop tests
+        them with :func:`_tail_vanishes` first.  Its memo of word normal
+        forms depends on the leads, the active flags and the tails, so it is
+        cleared once per new rule, after retirement and tail inter-reduction;
+        only an item that survives is built and sent through
+        :func:`nc_reduce`.  An item that vanishes becomes no rule, so the
+        rules, traces, provenance and exactness flags are those a full
+        reduction of every item would give.
         """
         if r.tail.is_zero():
             return
@@ -454,12 +558,19 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
                     for v in levels[s - k]:
                         push(dl + s, ("comb", ((1, u, r.idx, v),), False))
 
+    # word normal forms under the current rules, for cutoff extensions only
+    memo: dict[Word, dict[Word, Fraction]] = {}
     steps = 0
     while heap:
         steps += 1
         if steps > _MAX_COMPLETION_STEPS:
             raise RuntimeError("completion step limit exceeded")
         _, _, item = heapq.heappop(heap)
+        if item[0] == "comb" and not item[2]:
+            # a cutoff extension: nearly all vanish, and those need no trace
+            ((_, u, i, v),) = item[1]
+            if _tail_vanishes(gb, memo, u, gb.rules[i].tail, v):
+                continue
         poly, exact = build(item)
         red = nc_reduce(poly, gb)
         if red.poly.is_zero():
@@ -496,6 +607,7 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
                     and not rr.truncated
                 )
                 enqueue_cutoff_exts(r)
+        memo.clear()  # leads and tails are final until the next new rule
         for r in gb.rules:
             if not r.active:
                 continue

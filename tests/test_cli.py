@@ -265,9 +265,25 @@ def test_out_to_missing_directory_is_one_line_error(tmp_path, capsys):
 
 def test_env_max_degree_not_an_integer(monkeypatch, capsys):
     monkeypatch.setenv("NCDEF_MAX_DEGREE", "ten")
-    code, doc, cap = run(capsys, "bundle", "--length", "2")
+    code, doc, cap = run(capsys, "zoo", "laufer", "--n", "1", "--lambda", "0,0")
     assert code == 2 and doc is None and _one_line_error(cap)
     assert "NCDEF_MAX_DEGREE" in cap.err
+    # a command without a truncation degree never reads the variable
+    code, doc, cap = run(capsys, "bundle", "--length", "2")
+    assert code == 0 and doc["generators"] == 3 and cap.err == ""
+
+
+def test_argparse_usage_error_is_one_line(capsys):
+    for argv in (
+        ["matfac", "verify-all", "--max-degree", "5"],
+        ["zoo", "laufer"],
+        ["bundle", "--length", "9"],
+        [],
+    ):
+        code, doc, cap = run(capsys, *argv)
+        assert code == 2 and doc is None and _one_line_error(cap), argv
+    code, doc, cap = run(capsys, "zoo", "laufer", "--help")
+    assert code == 0 and doc is None and "--max-degree" in cap.out
 
 
 def test_zoo_length2_max_degree_below_eight(capsys):

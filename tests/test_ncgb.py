@@ -231,6 +231,25 @@ def test_rule_system_matches_pinned(name, monkeypatch):
     assert got == {k: v for k, v in pinned.items() if k.startswith(name + "/")}
 
 
+def test_vanishing_cutoff_extensions_are_never_reduced(monkeypatch):
+    """A cutoff extension is decided by memoized word normal forms, and only
+    one that survives goes through nc_reduce.  laufer(3, e4) at cutoff 15
+    queues over a thousand extensions, which all vanish: the remaining calls
+    are the relations, the rules' retired content and the tail
+    inter-reductions."""
+    calls = 0
+    inner = ncgb.nc_reduce
+
+    def counting(f, gb):
+        nonlocal calls
+        calls += 1
+        return inner(f, gb)
+
+    monkeypatch.setattr(ncgb, "nc_reduce", counting)
+    nc_complete(laufer_presentation(3, standard_lambda(3, 4)), 15)
+    assert 0 < calls <= 100, f"{calls} nc_reduce calls, bound 100"
+
+
 # --------------------------------------------------------- quotient reports
 
 

@@ -261,7 +261,7 @@ def test_zoo_data_matches_pinned():
 # ------------------------------------------------------------- invariants
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_invariant_table_checks(n):
     table = invariant_table(n)
     assert all(table.checks.values()), table.checks
@@ -273,7 +273,7 @@ def test_invariant_table_checks(n):
     assert [r.ab_dim for r in rows[: n + 1]] == [2 * n + 3] + [
         2 + 2 * i for i in range(1, n + 1)
     ]
-    # whole rows at n <= 2; the middle dimensions at n = 3 come from the
+    # whole rows at n <= 2; the middle dimensions at n = 3, 4 come from the
     # engine alone, so they are not asserted
     expected = {1: [9, 8, 9], 2: [15, 12, 14, 15, 15]}
     if n in expected:
