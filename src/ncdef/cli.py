@@ -85,6 +85,8 @@ def _doc(command: str, inputs: dict[str, Any], checks: list[dict[str, Any]],
 
 
 def _parse_lambda(text: str, n: int) -> list:
+    if n < 1:  # before the entry count, which is 2n
+        raise ValueError("n must be >= 1")
     entries = [e.strip() for e in text.split(",") if e.strip()]
     if entries == ["sym"]:
         return ["sym"] * (2 * n)
@@ -246,7 +248,7 @@ def _cmd_bundle(args) -> dict[str, Any]:
     if args.length is not None:
         s = contraction_splitting_type(args.length)
         inputs: dict[str, Any] = {"length": args.length}
-    elif args.degrees:
+    else:
         try:
             degrees = [int(d) for d in args.degrees.split(",")]
         except ValueError:
@@ -255,8 +257,6 @@ def _cmd_bundle(args) -> dict[str, Any]:
             ) from None
         s = splitting(*degrees)
         inputs = {"degrees": list(s.degrees)}
-    else:
-        raise argparse.ArgumentTypeError("need --degrees or --length")
     g, r, q = expected_presentation_counts(s)
     return _doc("bundle", inputs,
                 [_check("counts", "reported")],
@@ -329,8 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(mf)
 
     bu = sub.add_parser("bundle", help="splitting-type arithmetic")
-    bu.add_argument("--degrees", default=None)
-    bu.add_argument("--length", type=int, default=None, choices=range(2, 7))
+    pick = bu.add_mutually_exclusive_group(required=True)
+    pick.add_argument("--degrees", default=None)
+    pick.add_argument("--length", type=int, default=None, choices=range(2, 7))
     common(bu)
 
     idn = sub.add_parser("identities", help="scalar polynomial identities")

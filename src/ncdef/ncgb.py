@@ -16,12 +16,13 @@ Provenance is folded only for a pair that becomes a rule: pairs which reduce
 to zero never build one.
 
 Every normal form goes through :func:`nc_reduce`.  A :class:`TruncatedGB`
-caches, per word, the word's rule key and which active rule divides it, and
-where; completion clears the cache whenever a rule is added or retired, so
-the many reductions between two such changes divide each word only once.
-Each rule splits its lead once, into a multiset of central letters and a
-string key of its noncommutative letters, so finding a divisor is a C-level
-substring search per rule rather than a scan of the word's factors.
+caches, per word, which active rule divides it and where; completion clears
+the cache whenever a rule is added or retired, so the many reductions
+between two such changes divide each word only once.  There is one division
+search, :func:`find_division`: each rule splits its lead once, into a
+multiset of central letters and a string key of its noncommutative letters,
+and the word is split and keyed once per search, so trying a rule is a
+C-level substring search rather than a scan of the word's factors.
 
 For a fixed rule set, :func:`nc_reduce` is linear in its input.  The rule
 key is multiplicative, so a rewrite step creates only words whose key is
@@ -135,13 +136,13 @@ class RewriteRule:
 class TruncatedGB:
     """A rewriting system at length cutoff ``trunc``.
 
-    ``reductions`` caches, per word w, ``(order.rule_key(w), rule, u, v)``
-    for the lowest-index active rule whose lead divides w and its leftmost
-    division ``w = u * rule.lead * v``, or None when no active lead divides
-    it.  An entry depends only on the leads and active flags, so it is valid
-    exactly while the set of active rules is unchanged: whoever adds or
-    retires a rule must clear it.  A changed tail leaves it valid, since the
-    tail is read only when a step is applied.
+    ``reductions`` caches, per word w, ``find_division(gens, active, w)``:
+    ``(rule, u, v)`` for the lowest-index active rule whose lead divides w
+    and its leftmost division ``w = u * rule.lead * v``, or None when no
+    active lead divides it.  An entry depends only on the leads and active
+    flags, so it is valid exactly while the set of active rules is
+    unchanged: whoever adds or retires a rule must clear it.  A changed tail
+    leaves it valid, since the tail is read only when a step is applied.
     """
 
     gens: GenSet
@@ -149,39 +150,11 @@ class TruncatedGB:
     trunc: int
     rules: list[RewriteRule]
     reductions: dict[
-        Word, Optional[tuple[tuple, RewriteRule, Word, Word]]
+        Word, Optional[tuple[RewriteRule, Word, Word]]
     ] = field(default_factory=dict, repr=False, compare=False)
 
     def active_rules(self) -> list[RewriteRule]:
         return [r for r in self.rules if r.active]
-
-
-def find_division(gens: GenSet, lead: Word, w: Word) -> Optional[tuple[Word, Word]]:
-    """Leftmost division ``w = u * lead * v`` on canonical words, or None.
-
-    The central letters of ``lead`` must embed in those of ``w`` (multiset
-    containment); the noncommutative part must occur as a contiguous factor.
-    Leftover central letters are returned inside ``u``.
-    """
-    if len(lead) > len(w):
-        return None
-    lc, ln = word_split(gens, lead)
-    wc, wn = word_split(gens, w)
-    if lc:
-        cnt = Counter(wc)
-        cnt.subtract(lc)
-        if any(v < 0 for v in cnt.values()):
-            return None
-        leftover = tuple(sorted(cnt.elements()))
-    else:
-        leftover = wc
-    if not ln:
-        return leftover, wn
-    m = len(ln)
-    for i in range(len(wn) - m + 1):
-        if wn[i : i + m] == ln:
-            return leftover + wn[:i], wn[i + m :]
-    return None
 
 
 def _word_key(letters: Word) -> str:
@@ -189,24 +162,34 @@ def _word_key(letters: Word) -> str:
     return "".join(map(chr, letters))
 
 
-def _divisor(
+def find_division(
     gens: GenSet, rules: Sequence[RewriteRule], w: Word
-) -> Optional[RewriteRule]:
-    """The first rule whose lead divides ``w``, or None (the rule
-    :func:`find_division` would pick, without finding the division)."""
+) -> Optional[tuple[RewriteRule, Word, Word]]:
+    """The first rule of ``rules`` whose lead divides ``w``, with its
+    leftmost division ``w = u * rule.lead * v``, as ``(rule, u, v)``; or None.
+
+    A lead divides a canonical word when its central letters embed in those
+    of ``w`` (multiset containment) and its noncommutative part occurs as a
+    contiguous factor; leftover central letters are returned inside ``u``.
+    """
     wc, wn = word_split(gens, w)
     key = _word_key(wn)
     cnt = None
     for r in rules:
-        if r.lead_key not in key:
+        i = key.find(r.lead_key)
+        if i < 0:
             continue
-        if r.lead_c and cnt is None:
-            cnt = Counter(wc)
-        for x, k in r.lead_c.items():
-            if cnt[x] < k:
-                break
-        else:
-            return r
+        if r.lead_c:
+            if cnt is None:
+                cnt = Counter(wc)
+            for x, k in r.lead_c.items():
+                if cnt[x] < k:
+                    break
+            else:
+                left = tuple(sorted((cnt - r.lead_c).elements()))
+                return r, left + wn[:i], wn[i + len(r.lead_key):]
+            continue
+        return r, wc + wn[:i], wn[i + len(r.lead_key):]
     return None
 
 
@@ -230,24 +213,13 @@ def _irreducible_levels(
                 u = word_mul(gens, w, (g,))
                 if u not in seen:
                     seen.add(u)
-                    if _divisor(gens, rules, u) is None:
+                    if find_division(gens, rules, u) is None:
                         level.append(u)
         levels.append(level)
     return levels
 
 
 _UNSEEN = object()  # marks a word missing from ``TruncatedGB.reductions``
-
-
-def _cache_division(
-    gb: TruncatedGB, active: Sequence[RewriteRule], w: Word
-) -> Optional[tuple[tuple, RewriteRule, Word, Word]]:
-    """Find, store in ``gb.reductions`` and return the entry of a word the
-    cache has not seen; ``active`` must be ``gb.active_rules()``."""
-    rule = _divisor(gb.gens, active, w)
-    hit = gb.reductions[w] = None if rule is None else (
-        gb.order.rule_key(w), rule, *find_division(gb.gens, rule.lead, w))
-    return hit
 
 
 @dataclass
@@ -264,9 +236,10 @@ def nc_reduce(f: NcPoly, gb: TruncatedGB) -> ReduceResult:
     lowest-degree one), using the lowest-index applicable rule at its leftmost
     occurrence; the returned trace records each step as ``(c, u, rule index,
     v)``.  Replacement words of length >= ``trunc`` are dropped and recorded
-    in ``truncated``.  A word's rule key, which rule divides it and the
-    division itself are looked up in ``gb.reductions`` and computed only for
-    words not seen since the active rules last changed.
+    in ``truncated``.  Which rule divides a word, and where, is looked up in
+    ``gb.reductions`` and searched only for words not seen since the active
+    rules last changed; the rule key is computed once per call, and only for
+    the reducible words.
 
     The normal form is linear in ``f`` (module docstring): each word is
     rewritten at most once, with its whole coefficient, so it equals the
@@ -274,8 +247,9 @@ def nc_reduce(f: NcPoly, gb: TruncatedGB) -> ReduceResult:
     ``truncated`` flag are not linear in this way, since a word whose
     coefficient cancels is never rewritten.
     """
-    gens, cache = gb.gens, gb.reductions
+    gens, cache, rule_key = gb.gens, gb.reductions, gb.order.rule_key
     active: Optional[list[RewriteRule]] = None
+    keys: dict[Word, tuple] = {}  # rule keys of the reducible words seen
     work: dict[Word, Fraction] = {}
     truncated = False
     for w, c in f.terms.items():
@@ -285,18 +259,23 @@ def nc_reduce(f: NcPoly, gb: TruncatedGB) -> ReduceResult:
             work[w] = c
     trace: list[tuple[Fraction, Word, int, Word]] = []
     while True:
-        best = best_w = None
+        best = best_w = best_k = None
         for w in work:
             hit = cache.get(w, _UNSEEN)
             if hit is _UNSEEN:
                 if active is None:
                     active = gb.active_rules()
-                hit = _cache_division(gb, active, w)
-            if hit is not None and (best is None or hit[0] > best[0]):
-                best, best_w = hit, w
+                hit = cache[w] = find_division(gens, active, w)
+            if hit is None:
+                continue
+            k = keys.get(w)
+            if k is None:
+                k = keys[w] = rule_key(w)
+            if best is None or k > best_k:
+                best, best_w, best_k = hit, w, k
         if best is None:
             break
-        _, rule, u, v = best
+        rule, u, v = best
         c = work.pop(best_w)
         for tw, tc in rule.tail.terms.items():
             nw = word_mul(gens, word_mul(gens, u, tw), v)
@@ -373,11 +352,11 @@ def _tail_vanishes(
         if hit is _UNSEEN:
             if active is None:
                 active = gb.active_rules()
-            hit = _cache_division(gb, active, w)
+            hit = cache[w] = find_division(gens, active, w)
         if hit is None:
             memo[w] = {w: _ONE}
             continue
-        _, rule, wu, wv = hit
+        rule, wu, wv = hit
         kids = children(wu, rule.tail, wv)
         stack.append((w, kids))
         stack.extend((x, None) for x, _ in kids if x not in memo)
@@ -589,7 +568,7 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         gb.rules.append(new)
         # retire rules whose lead the new lead divides; requeue their content
         for r in gb.rules:
-            if r.active and r is not new and find_division(gens, new.lead, r.lead):
+            if r.active and r is not new and find_division(gens, (new,), r.lead):
                 r.active = False
                 push(len(r.lead), ("poly", r.poly(), dict(r.prov), r.exact))
         gb.reductions.clear()  # the active rules changed

@@ -4,11 +4,52 @@
 dimensions, independent of the rewriting engine: it spans every product
 u*relation*v over all words and counts what is left, with its own
 elimination, so it shares no code with ``ncdef.linalg``.  ``rescan_reduce`` is
-the reduction kernel without any cache, for checking ``nc_reduce``.
+the reduction kernel without any cache, for checking ``nc_reduce``; it divides
+words with its own ``divide``, a letter-by-letter scan that shares no code
+with the engine's division search.
 """
 
-from ncdef.freealg import NcPoly, word_mul
-from ncdef.ncgb import find_division
+from collections import Counter
+
+from ncdef.freealg import NcPoly, word_mul, word_split
+
+
+def divide(gens, lead, w):
+    """Leftmost division ``w = u * lead * v`` on canonical words, or None.
+
+    The central letters of ``lead`` must embed in those of ``w`` (multiset
+    containment); the noncommutative part must occur as a contiguous factor.
+    Leftover central letters are returned inside ``u``.
+    """
+    if len(lead) > len(w):
+        return None
+    lc, ln = word_split(gens, lead)
+    wc, wn = word_split(gens, w)
+    if lc:
+        cnt = Counter(wc)
+        cnt.subtract(lc)
+        if any(v < 0 for v in cnt.values()):
+            return None
+        leftover = tuple(sorted(cnt.elements()))
+    else:
+        leftover = wc
+    if not ln:
+        return leftover, wn
+    m = len(ln)
+    for i in range(len(wn) - m + 1):
+        if wn[i : i + m] == ln:
+            return leftover + wn[:i], wn[i + m :]
+    return None
+
+
+def first_division(gens, rules, w):
+    """``(rule, u, v)`` for the first rule of ``rules`` whose lead divides
+    ``w`` and its leftmost division, or None, found by ``divide``."""
+    for r in rules:
+        div = divide(gens, r.lead, w)
+        if div is not None:
+            return (r, *div)
+    return None
 
 
 def _words_up_to(gens, maxlen):
@@ -81,16 +122,14 @@ def rescan_reduce(f, gb):
     while True:
         best = None
         for w in work:
-            for r in active:
-                div = find_division(gens, r.lead, w)
-                if div is not None:
-                    k = order.rule_key(w)
-                    if best is None or k > best[0]:
-                        best = (k, w, r, div)
-                    break
+            hit = first_division(gens, active, w)
+            if hit is not None:
+                k = order.rule_key(w)
+                if best is None or k > best[0]:
+                    best = (k, w, hit)
         if best is None:
             return NcPoly(gens, work), trace, truncated
-        _, w, rule, (u, v) = best
+        _, w, (rule, u, v) = best
         c = work.pop(w)
         for tw, tc in rule.tail.terms.items():
             nw = word_mul(gens, word_mul(gens, u, tw), v)

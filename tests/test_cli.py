@@ -389,3 +389,19 @@ def test_every_option_is_read_by_its_handler():
         if missing:
             unread[parser.prog] = sorted(missing)
     assert unread == {}
+
+
+def test_bundle_length_and_degrees_together_is_one_line_error(capsys):
+    code, doc, cap = run(capsys, "bundle", "--length", "4", "--degrees", "a,b")
+    assert code == 2 and doc is None and _one_line_error(cap)
+    assert "--degrees" in cap.err and "--length" in cap.err
+
+
+def test_n_below_one_is_reported_before_lambda(capsys):
+    for argv in (
+        ["zoo", "laufer", "--n", "-1", "--lambda", "0"],
+        ["identities", "--n", "0", "--lambda", "0"],
+    ):
+        code, doc, cap = run(capsys, *argv)
+        assert code == 2 and doc is None and _one_line_error(cap), argv
+        assert "n must be >= 1" in cap.err and "lambda" not in cap.err, argv

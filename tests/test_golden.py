@@ -22,6 +22,8 @@ CASES = {
     "zoo-laufer-n1": ["zoo", "laufer", "--n", "1", "--lambda", "0,0"],
     "zoo-laufer-n2": ["zoo", "laufer", "--n", "2", "--lambda", "0,0,1,0"],
     "zoo-laufer-n1-sym": ["zoo", "laufer", "--n", "1", "--lambda", "sym"],
+    "zoo-laufer-n3": ["zoo", "laufer", "--n", "3", "--lambda", "0,0,0,0,0,0"],
+    "zoo-laufer-n3-e4": ["zoo", "laufer", "--n", "3", "--lambda", "0,0,0,1,0,0"],
     "zoo-length2": ["zoo", "length2"],
     **{
         f"zoo-karmazyn-{l}-verify": [

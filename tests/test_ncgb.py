@@ -22,6 +22,7 @@ from ncdef.ncgb import (
     DimensionUndefinedError,
     Presentation,
     PresentationError,
+    RewriteRule,
     derive_check,
     expand_certificate,
     find_division,
@@ -77,12 +78,14 @@ def test_presentation_rejects_constant_term():
 def test_find_division_central_and_position():
     g = genset(["t", "a", "b"], central=["t"])
     t, a, b = 0, 1, 2
+    rule = RewriteRule((t, a), NcPoly.zero(g), {}, True, 0)
     # lead t*a inside t*b*a*b: central t divides, nc part a at position 1
-    hit = find_division(g, (t, a), (t, b, a, b))
+    hit = find_division(g, [rule], (t, b, a, b))
     assert hit is not None
-    u, v = hit
+    got, u, v = hit
+    assert got is rule
     assert word_mul(g, word_mul(g, u, (t, a)), v) == (t, b, a, b)
-    assert find_division(g, (t, a), (a, b)) is None  # central part missing
+    assert find_division(g, [rule], (a, b)) is None  # central part missing
 
 
 def test_nc_reduce_hand_rules():
@@ -143,6 +146,24 @@ def test_central_pairs_match_brute_force(name, n):
     from ncdef.ncgb import _irreducible_words
 
     p = presentation_parse(CENTRAL_PAIRS[name])
+    gb = nc_complete(p, n, provenance=False)
+    assert len(_irreducible_words(gb)) == brute_force_dim(p, n)
+
+
+# A wdeglex completion in which a rule already closed under the cutoff gets
+# a shorter tail word, so ``enqueue_cutoff_exts`` closes it again from its
+# recorded ``ext_mt`` (once at each cutoff 5-8).
+RECLOSE = (
+    "generators: c0 a b\nweights: 4 1 2\ncentral: c0\n"
+    "relations: 2*a^2 + 2*a*b^2 + c0*a*b^2 ; a^3 - c0*a^2 ; 2*c0 + a*b - b^2\n"
+)
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_cutoff_extension_reclose_matches_brute_force(n):
+    from ncdef.ncgb import _irreducible_words
+
+    p = presentation_parse(RECLOSE)
     gb = nc_complete(p, n, provenance=False)
     assert len(_irreducible_words(gb)) == brute_force_dim(p, n)
 
