@@ -10,7 +10,11 @@ exit-2 error, argparse's usage errors included, is one ``ncdef: error:`` line
 on stderr.
 Only ``zoo`` and ``gb`` take ``--max-degree``, the truncation degree (default
 20, or ``NCDEF_MAX_DEGREE``); the other subcommands truncate nothing, reject
-it (exit 2) and never read ``NCDEF_MAX_DEGREE``.
+it (exit 2) and never read ``NCDEF_MAX_DEGREE``.  Quotient reports truncate
+by the order's degree, which is the weight for a weighted presentation: with
+``--max-degree N`` the last cut is w*(N - 1) + 1 for the largest generator
+weight w, the least cut that keeps every word of length < N, and it is N for
+an unweighted one.  ``certified_at`` and ``up_to`` are such cuts.
 """
 
 from __future__ import annotations

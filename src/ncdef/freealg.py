@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 from .commpoly import CommPoly, Poly, VarSet, terms_str
 
@@ -116,11 +117,10 @@ class NcOrder:
         self.gens = gens
         self.mode = mode
         self._central_idx = [i for i, c in enumerate(gens.central) if c]
-
-    def degree(self, w: Word) -> int:
-        if self.mode == "deglex":
-            return len(w)
-        return word_weight(self.gens, w)
+        # the degree a truncation cuts by; bound once, as every reduction
+        # calls it for every word it creates
+        self.degree: Callable[[Word], int] = (
+            len if mode == "deglex" else partial(word_weight, gens))
 
     def _cvec(self, w: Word) -> tuple[int, ...]:
         return tuple(map(w.count, self._central_idx))

@@ -1,13 +1,18 @@
-"""Length-truncated two-sided rewriting systems for presented algebras.
+"""Degree-truncated two-sided rewriting systems for presented algebras.
 
 A :class:`Presentation` is a generator set together with relations (elements
 of the free algebra with central letters).  :func:`nc_complete` runs a
 critical-pair completion in which each rule rewrites its lowest-degree term
 (ties broken toward the largest word), so rewriting climbs in degree and the
-length-``trunc`` cutoff makes every computation finite.  The resulting system
-presents the quotient of the free algebra by the relation ideal plus all
-words of length ``trunc``; :func:`quotient_report` stabilizes that quotient
-over increasing cutoffs to certify the dimension of the completed algebra.
+cutoff ``trunc`` makes every computation finite.  The cut is on the order's
+own degree, ``NcOrder.degree``: the length under ``deglex`` and the weight
+under ``wdeglex``.  Since no tail word has a lower degree than its lead, a
+rewrite of a word at or past the cut only creates words at or past the cut,
+so dropping them is safe at every step.  The resulting system presents the
+quotient of the free algebra by the relation ideal plus F_trunc, the span of
+all words of degree >= ``trunc``; :func:`quotient_report` stabilizes that
+quotient over increasing cutoffs to certify the dimension of the completed
+algebra.
 
 Rules carry provenance: an exact rule records how its polynomial expands as a
 two-sided combination of the original relations, which lets
@@ -23,17 +28,6 @@ search, :func:`find_division`: each rule splits its lead once, into a
 multiset of central letters and a string key of its noncommutative letters,
 and the word is split and keyed once per search, so trying a rule is a
 C-level substring search rather than a scan of the word's factors.
-
-For a fixed rule set, :func:`nc_reduce` is linear in its input.  The rule
-key is multiplicative, so a rewrite step creates only words whose key is
-below that of the word it rewrote; the kernel always rewrites the reducible
-word of largest key, so keys strictly decrease and each word is rewritten at
-most once, with its whole accumulated coefficient; truncation is a
-projection, and a word whose coefficient cancels contributes zero.  Hence
-NF(sum c*w) = sum c*NF(w).  Completion uses this for cutoff extensions,
-which need only a yes/no "does it vanish": it memoizes the normal forms of
-single words between two rule changes and sends only the few extensions
-that survive through :func:`nc_reduce`.
 """
 
 from __future__ import annotations
@@ -109,7 +103,7 @@ class RewriteRule:
     dropped by truncation anywhere in the rule's derivation).
     """
 
-    __slots__ = ("lead", "tail", "prov", "exact", "idx", "active", "ext_mt",
+    __slots__ = ("lead", "tail", "prov", "exact", "idx", "active",
                  "lead_c", "lead_key")
 
     def __init__(self, lead: Word, tail: NcPoly, prov: Provenance, exact: bool, idx: int):
@@ -122,7 +116,6 @@ class RewriteRule:
         self.exact = exact
         self.idx = idx
         self.active = True
-        self.ext_mt = None  # smallest tail length already closed under cutoff
 
     def poly(self) -> NcPoly:
         return NcPoly(self.tail.gens, {self.lead: Fraction(1)}) - self.tail
@@ -134,7 +127,7 @@ class RewriteRule:
 
 @dataclass
 class TruncatedGB:
-    """A rewriting system at length cutoff ``trunc``.
+    """A rewriting system at cutoff ``trunc`` on the order's degree.
 
     ``reductions`` caches, per word w, ``find_division(gens, active, w)``:
     ``(rule, u, v)`` for the lowest-index active rule whose lead divides w
@@ -193,32 +186,6 @@ def find_division(
     return None
 
 
-def _irreducible_levels(
-    gens: GenSet, rules: Sequence[RewriteRule], maxlen: int
-) -> list[list[Word]]:
-    """Rule-irreducible canonical words by length: ``levels[k]`` for k <= maxlen.
-
-    Every word of length k+1 extends a word of length k by one letter, and a
-    rule dividing the shorter word divides the longer one, so extending only
-    irreducible words reaches them all.  Each level is in generation order:
-    first appearance while extending the previous level letter by letter.
-    No rule has the empty lead, so the empty word is irreducible.
-    """
-    levels: list[list[Word]] = [[()]]
-    for _ in range(maxlen):
-        seen: set[Word] = set()
-        level: list[Word] = []
-        for w in levels[-1]:
-            for g in range(len(gens.names)):
-                u = word_mul(gens, w, (g,))
-                if u not in seen:
-                    seen.add(u)
-                    if find_division(gens, rules, u) is None:
-                        level.append(u)
-        levels.append(level)
-    return levels
-
-
 _UNSEEN = object()  # marks a word missing from ``TruncatedGB.reductions``
 
 
@@ -230,30 +197,30 @@ class ReduceResult:
 
 
 def nc_reduce(f: NcPoly, gb: TruncatedGB) -> ReduceResult:
-    """Normal form of ``f`` modulo the active rules and the length cutoff.
+    """Normal form of ``f`` modulo the active rules and the cutoff.
 
     Each step rewrites the reducible term with the largest rule key (the
     lowest-degree one), using the lowest-index applicable rule at its leftmost
     occurrence; the returned trace records each step as ``(c, u, rule index,
-    v)``.  Replacement words of length >= ``trunc`` are dropped and recorded
-    in ``truncated``.  Which rule divides a word, and where, is looked up in
+    v)``.  Words of order degree >= ``trunc`` are dropped and recorded in
+    ``truncated``.  Which rule divides a word, and where, is looked up in
     ``gb.reductions`` and searched only for words not seen since the active
     rules last changed; the rule key is computed once per call, and only for
     the reducible words.
 
-    The normal form is linear in ``f`` (module docstring): each word is
-    rewritten at most once, with its whole coefficient, so it equals the
-    sum of ``c * NF(w)`` over the terms of ``f``.  The trace and the
-    ``truncated`` flag are not linear in this way, since a word whose
-    coefficient cancels is never rewritten.
+    The rule key is multiplicative, so a step creates only words whose key
+    is below that of the word it rewrote; as the largest reducible key is
+    always taken, each word is rewritten at most once, with its whole
+    accumulated coefficient.
     """
     gens, cache, rule_key = gb.gens, gb.reductions, gb.order.rule_key
+    degree, trunc = gb.order.degree, gb.trunc
     active: Optional[list[RewriteRule]] = None
     keys: dict[Word, tuple] = {}  # rule keys of the reducible words seen
     work: dict[Word, Fraction] = {}
     truncated = False
     for w, c in f.terms.items():
-        if len(w) >= gb.trunc:
+        if degree(w) >= trunc:
             truncated = True
         else:
             work[w] = c
@@ -279,7 +246,7 @@ def nc_reduce(f: NcPoly, gb: TruncatedGB) -> ReduceResult:
         c = work.pop(best_w)
         for tw, tc in rule.tail.terms.items():
             nw = word_mul(gens, word_mul(gens, u, tw), v)
-            if len(nw) >= gb.trunc:
+            if degree(nw) >= trunc:
                 truncated = True
                 continue
             # most tail coefficients are +-1: a sign flip skips the product
@@ -292,75 +259,6 @@ def nc_reduce(f: NcPoly, gb: TruncatedGB) -> ReduceResult:
                 del work[nw]
         trace.append((c, u, rule.idx, v))
     return ReduceResult(NcPoly(gens, work), trace, truncated)
-
-
-_ONE = Fraction(1)  # a Fraction leaf keeps products off int's reflected operators
-
-
-def _tail_vanishes(
-    gb: TruncatedGB,
-    memo: dict[Word, dict[Word, Fraction]],
-    u: Word,
-    tail: NcPoly,
-    v: Word,
-) -> bool:
-    """Whether ``u * tail * v`` has normal form zero (see :func:`nc_reduce`).
-
-    By the linearity of :func:`nc_reduce`, this is the sum over tail terms
-    ``tc * tw`` of ``tc * NF(u * tw * v)``.  ``memo`` maps words to their
-    normal forms and fills as a side effect: ``NF(w)`` is ``w`` for an
-    irreducible word and, for ``w = u' * lead * v'`` as cached in
-    ``gb.reductions``, the same sum over that rule's tail.  The memo reads
-    the tails as well as the leads, so it is valid only while neither the
-    active rules nor any tail changes.  Words are expanded with an explicit
-    stack, children before parents.
-    """
-    gens, trunc, cache = gb.gens, gb.trunc, gb.reductions
-    active: Optional[list[RewriteRule]] = None
-
-    def children(u: Word, tail: NcPoly, v: Word) -> list[tuple[Word, Fraction]]:
-        out = []
-        for tw, tc in tail.terms.items():
-            w = word_mul(gens, word_mul(gens, u, tw), v)
-            if len(w) < trunc:
-                out.append((w, tc))
-        return out
-
-    def combine(kids: list[tuple[Word, Fraction]]) -> dict[Word, Fraction]:
-        nf: dict[Word, Fraction] = {}
-        for w, tc in kids:
-            for x, c in memo[w].items():
-                t = c if tc == 1 else -c if tc == -1 else c * tc
-                if x not in nf:
-                    nf[x] = t
-                elif s := nf[x] + t:
-                    nf[x] = s
-                else:
-                    del nf[x]
-        return nf
-
-    top = children(u, tail, v)
-    stack: list[tuple[Word, Optional[list]]] = [(w, None) for w, _ in top]
-    while stack:
-        w, kids = stack.pop()
-        if kids is not None:  # second visit: every child is in the memo
-            memo[w] = combine(kids)
-            continue
-        if w in memo:
-            continue
-        hit = cache.get(w, _UNSEEN)
-        if hit is _UNSEEN:
-            if active is None:
-                active = gb.active_rules()
-            hit = cache[w] = find_division(gens, active, w)
-        if hit is None:
-            memo[w] = {w: _ONE}
-            continue
-        rule, wu, wv = hit
-        kids = children(wu, rule.tail, wv)
-        stack.append((w, kids))
-        stack.extend((x, None) for x, _ in kids if x not in memo)
-    return not combine(top)
 
 
 def _conj(gens: GenSet, u: Word, prov: Provenance, v: Word, c: Fraction) -> Provenance:
@@ -404,13 +302,17 @@ _MAX_COMPLETION_STEPS = 200_000
 
 
 def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> TruncatedGB:
-    """Critical-pair completion of the presentation at length cutoff ``trunc``.
+    """Critical-pair completion of the presentation at cutoff ``trunc`` on
+    the order's degree.
 
     The pending queue is ordered by the length of the word a pair overlaps on
-    (FIFO within a length); pairs are processed even when that word itself
-    exceeds the cutoff, because an inhomogeneous rule can rewrite it down to
-    words below the cutoff.  The returned system is inter-reduced: no active
-    lead divides another, and every tail is in normal form.
+    (FIFO within a length).  A pair whose overlap word has degree >=
+    ``trunc`` reduces to zero: no tail word has a lower degree than its
+    lead, so every word of the pair's polynomial is at or past the cut.  For
+    the same reason a word at or past the cut never rewrites back below it,
+    so the critical pairs alone close the system under the cut.  The
+    returned system is inter-reduced: no active lead divides another, and
+    every tail is in normal form.
     """
     if trunc < 2:
         raise ValueError("trunc must be >= 2")
@@ -435,21 +337,20 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         """Polynomial and exactness of an item.
 
         A ``comb`` item is a two-sided combination  sum c * u * rule_i * v
-        of rules whose leads cancel (critical pairs, central-letter pairs)
-        or lie in m^trunc (cutoff extensions, never exact); its polynomial
-        is what remains,  -sum c * u * tail_i * v.
+        of rules whose leads cancel (critical pairs, central-letter pairs);
+        its polynomial is what remains,  -sum c * u * tail_i * v.
         """
         if item[0] == "poly":
             _, poly, _, exact = item
             return poly, exact
-        _, combo, exact = item
+        _, combo = item
         terms: dict[Word, Fraction] = {}
         for c, u, i, v in combo:  # every c is 1 or -1
             for tw, tc in gb.rules[i].tail.terms.items():
                 w = word_mul(gens, word_mul(gens, u, tw), v)
                 t = -tc if c > 0 else tc
                 terms[w] = terms[w] + t if w in terms else t
-        return NcPoly(gens, terms), _fold_trace(gb, combo, None, 1) and exact
+        return NcPoly(gens, terms), _fold_trace(gb, combo, None, 1)
 
     def item_prov(item) -> Provenance:
         """Provenance of an item, built only for one that becomes a rule."""
@@ -471,7 +372,7 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         clen = sum(cmax.values())
 
         def emit(up, vp, uq, vq, wlen):
-            push(wlen, ("comb", ((1, uq, rq.idx, vq), (-1, up, rp.idx, vp)), True))
+            push(wlen, ("comb", ((1, uq, rq.idx, vq), (-1, up, rp.idx, vp))))
 
         if pn and qn:
             # proper overlaps: a suffix of pn is a prefix of qn
@@ -498,58 +399,12 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
             if shared and rp is not rq:
                 emit(rest_p, (), rest_q, (), clen)
 
-    def enqueue_cutoff_exts(r: RewriteRule) -> None:
-        """Close a rule with tail words shorter than its lead under the cutoff.
-
-        For such a rule, a product u*lead*v can reach length >= trunc (hence
-        lie in m^trunc and vanish from every computation) while u*tail*v does
-        not; the surviving tail part is then a member of I + m^trunc that no
-        critical pair ever sees.  Queue exactly the products in that window.
-
-        Almost all of these items reduce to zero, so the main loop tests
-        them with :func:`_tail_vanishes` first.  Its memo of word normal
-        forms depends on the leads, the active flags and the tails, so it is
-        cleared once per new rule, after retirement and tail inter-reduction;
-        only an item that survives is built and sent through
-        :func:`nc_reduce`.  An item that vanishes becomes no rule, so the
-        rules, traces, provenance and exactness flags are those a full
-        reduction of every item would give.
-        """
-        if r.tail.is_zero():
-            return
-        mt = min(len(w) for w in r.tail.terms)
-        dl = len(r.lead)
-        if mt >= dl or (r.ext_mt is not None and r.ext_mt <= mt):
-            return
-        lo = max(trunc - dl, 1)
-        if r.ext_mt is not None:
-            lo = max(lo, trunc - r.ext_mt)
-        r.ext_mt = mt
-        if lo >= trunc - mt:
-            return
-        # Reducible factors may be skipped: if u rewrites to red(u), then
-        # u*tail*v - red(u)*tail*v lies in I + m^trunc already, so closing
-        # over irreducible factors closes over all of them.
-        levels = _irreducible_levels(gens, gb.active_rules(), trunc - mt - 1)
-        for s in range(lo, trunc - mt):
-            for k in range(s + 1):
-                for u in levels[k]:
-                    for v in levels[s - k]:
-                        push(dl + s, ("comb", ((1, u, r.idx, v),), False))
-
-    # word normal forms under the current rules, for cutoff extensions only
-    memo: dict[Word, dict[Word, Fraction]] = {}
     steps = 0
     while heap:
         steps += 1
         if steps > _MAX_COMPLETION_STEPS:
             raise RuntimeError("completion step limit exceeded")
         _, _, item = heapq.heappop(heap)
-        if item[0] == "comb" and not item[2]:
-            # a cutoff extension: nearly all vanish, and those need no trace
-            ((_, u, i, v),) = item[1]
-            if _tail_vanishes(gb, memo, u, gb.rules[i].tail, v):
-                continue
         poly, exact = build(item)
         red = nc_reduce(poly, gb)
         if red.poly.is_zero():
@@ -572,7 +427,6 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
                 r.active = False
                 push(len(r.lead), ("poly", r.poly(), dict(r.prov), r.exact))
         gb.reductions.clear()  # the active rules changed
-        enqueue_cutoff_exts(new)
         # keep the remaining tails in normal form
         for r in gb.rules:
             if not r.active or r is new:
@@ -585,8 +439,6 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
                     and r.exact
                     and not rr.truncated
                 )
-                enqueue_cutoff_exts(r)
-        memo.clear()  # leads and tails are final until the next new rule
         for r in gb.rules:
             if not r.active:
                 continue
@@ -598,16 +450,30 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
                 # a central-only lead rewrites at any position, so its tail
                 # must commute with every noncommuting generator
                 push(len(new.lead) + 1,
-                     ("comb", ((1, (x,), new.idx, ()), (-1, (), new.idx, (x,))), True))
+                     ("comb", ((1, (x,), new.idx, ()), (-1, (), new.idx, (x,)))))
     gb.reductions.clear()  # return a lean system; later reductions refill it
     return gb
 
 
 def _irreducible_words(gb: TruncatedGB) -> list[Word]:
-    """All rule-irreducible canonical words of length < trunc, shortest
-    first, each length in word order."""
-    levels = _irreducible_levels(gb.gens, gb.active_rules(), gb.trunc - 1)
-    return [w for level in levels for w in sorted(level, key=gb.order.key)]
+    """All rule-irreducible canonical words of degree < trunc, shortest
+    first, each length in word order.
+
+    Every word of length k+1 extends a word of length k by one letter, of
+    no larger degree, and a rule dividing the shorter word divides the
+    longer one, so extending only the irreducible words below the cut
+    reaches them all.  No rule has the empty lead, so the empty word is
+    irreducible.
+    """
+    gens, rules, degree = gb.gens, gb.active_rules(), gb.order.degree
+    words: list[Word] = []
+    level: list[Word] = [()]
+    while level:
+        words.extend(sorted(level, key=gb.order.key))
+        longer = {word_mul(gens, w, (g,)) for w in level for g in range(len(gens.names))}
+        level = [u for u in longer
+                 if degree(u) < gb.trunc and find_division(gens, rules, u) is None]
+    return words
 
 
 @dataclass
@@ -630,26 +496,40 @@ def quotient_report(
 ) -> QuotientReport:
     """Complete at increasing cutoffs until the truncated quotient stabilizes.
 
-    Equal basis counts at consecutive cutoffs N, N+1 certify the dimension
-    (the quotient at N+1 surjects onto the one at N, so equal dimensions make
-    the tower constant from N on); the reported monomial basis is taken from
-    the first pair of consecutive cutoffs whose basis sets agree.
+    The cutoffs are order degrees W_k = w*k + 1 for k = 1 .. maxN - 1, where
+    the step w is the largest generator weight under ``wdeglex`` and 1 under
+    ``deglex`` (where the cuts are 2 .. maxN).  The last cut,
+    w*(maxN - 1) + 1, is the least one that keeps every word of length
+    < maxN.  ``certified_at`` and ``up_to`` are cuts, that is, order degrees.
+
+    Equal dimensions at consecutive cuts W and W + w certify the dimension.
+    Let F_M span the words of degree >= M and A_M = k<X>/(I + F_M).  A_{W+w}
+    surjects onto A_W, so equal dimensions give I + F_W = I + F_{W+w}.  Take
+    a word x of degree >= W and strip letters from its left until the suffix
+    y has degree in [W, W + w); no letter weighs more than w, so this
+    happens.  Then x = u*y with y in I + F_{W+w}, so x lies in
+    I + F_{deg(u) + W + w}, which is inside I + F_{deg(x) + 1}.  Hence
+    F_M is inside I + F_{M+1} for every M >= W, and by induction
+    I + F_W = I + F_M for every M >= W: the tower is constant from W on.
+    The reported monomial basis is taken from the first pair of consecutive
+    cuts whose basis sets agree.
     """
     if maxN < 2:
         raise ValueError(f"the maximum cutoff must be >= 2, got {maxN}")
+    step = max(p.gens.weights) if p.order == "wdeglex" else 1
     basis: Optional[list[Word]] = None
     gb: Optional[TruncatedGB] = None
     certified_at: Optional[int] = None
     stabilized = False
-    last_n = maxN
+    last_n = step * (maxN - 1) + 1
     prev: Optional[tuple[list[Word], TruncatedGB]] = None
-    for N in range(2, maxN + 1):
+    for N in range(step + 1, last_n + 1, step):
         cur_gb = nc_complete(p, N, provenance=False)
         cur_basis = _irreducible_words(cur_gb)
         if prev is not None:
             pb, pgb = prev
             if certified_at is None and len(pb) == len(cur_basis):
-                certified_at = N - 1
+                certified_at = N - step
             if certified_at is not None and set(pb) == set(cur_basis):
                 basis, gb, stabilized, last_n = cur_basis, cur_gb, True, N
                 break

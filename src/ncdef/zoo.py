@@ -128,13 +128,6 @@ def length2_central_elements() -> dict[str, NcPoly]:
     }
 
 
-def length2_scheme_presentation() -> Presentation:
-    """Deformation algebra of the length-2 scheme fiber: free commutative
-    power series on u, v, w (no relations)."""
-    g = genset(["u", "v", "w"], central=["u", "v", "w"])
-    return Presentation(g, (), "deglex")
-
-
 @dataclass
 class SuiteCheck:
     name: str
@@ -585,7 +578,10 @@ def invariant_table(n: int) -> InvariantTable:
     checks: the equality of the top dimensions with 6n+3, the expected
     abelianization dimensions, the identity of the A_0 and A_{n+j}
     abelianized ideals, and the quadratic classification (symmetric span 2,
-    alternating span 0), each quotient truncated at degree 4n+6."""
+    alternating span 0).  Each quotient report gets ``maxN`` = 4n+6, so its
+    last cut is the weight (2n+1)(4n+5) + 1, which keeps every word of
+    length < 4n+6; ``certified_at`` is a weight cut too.  The commutative
+    abelianization cross-check truncates at degree 4n+6."""
     maxN = 4 * n + 6
     rows: list[ZooRow] = []
     presentations: list[Presentation] = []

@@ -3,7 +3,9 @@
 ``brute_force_dim`` is a linear-algebra oracle for truncated quotient
 dimensions, independent of the rewriting engine: it spans every product
 u*relation*v over all words and counts what is left, with its own
-elimination, so it shares no code with ``ncdef.linalg``.  ``rescan_reduce`` is
+elimination, so it shares no code with ``ncdef.linalg``.  Both oracles cut
+by the order's degree, computed here by ``degree``: the length under
+``deglex``, the weight sum under ``wdeglex``.  ``rescan_reduce`` is
 the reduction kernel without any cache, for checking ``nc_reduce``; it divides
 words with its own ``divide``, a letter-by-letter scan that shares no code
 with the engine's division search.
@@ -52,15 +54,21 @@ def first_division(gens, rules, w):
     return None
 
 
-def _words_up_to(gens, maxlen):
+def degree(gens, order, w):
+    """The degree the cut applies to: length, or the sum of the weights."""
+    return sum(gens.weights[i] for i in w) if order == "wdeglex" else len(w)
+
+
+def _words_below(gens, order, n):
+    """Every canonical word of degree < n."""
     seen = {(): None}
     level = [()]
-    for _ in range(maxlen):
+    while level:
         nxt = []
         for w in level:
             for gi in range(len(gens.names)):
                 u = word_mul(gens, w, (gi,))
-                if u not in seen:
+                if u not in seen and degree(gens, order, u) < n:
                     seen[u] = None
                     nxt.append(u)
         level = nxt
@@ -89,18 +97,23 @@ def _rank(vectors):
 
 
 def brute_force_dim(p, n):
-    """dim of T/(I + m^n) by straight linear algebra over words of length < n."""
+    """dim of T/(I + F_n) by straight linear algebra over the words of
+    degree < n, where F_n spans the words of degree >= n."""
     gens = p.gens
-    words = _words_up_to(gens, n - 1)
+
+    def deg(w):
+        return degree(gens, p.order, w)
+
+    words = _words_below(gens, p.order, n)
 
     def products():
         for rel in p.relations:
-            minlen = min(len(w) for w in rel.terms)
+            mindeg = min(map(deg, rel.terms))
             for u in words:
                 for v in words:
-                    if len(u) + minlen + len(v) < n:
+                    if deg(u) + mindeg + deg(v) < n:
                         f = NcPoly.word(gens, u) * rel * NcPoly.word(gens, v)
-                        yield {w: c for w, c in f.terms.items() if len(w) < n}
+                        yield {w: c for w, c in f.terms.items() if deg(w) < n}
 
     return len(words) - _rank(products())
 
@@ -115,8 +128,12 @@ def rescan_reduce(f, gb):
     result, for comparison with the engine's cached kernel.
     """
     gens, order = gb.gens, gb.order
+
+    def deg(w):
+        return degree(gens, order.mode, w)
+
     active = [r for r in gb.rules if r.active]
-    work = {w: c for w, c in f.terms.items() if len(w) < gb.trunc}
+    work = {w: c for w, c in f.terms.items() if deg(w) < gb.trunc}
     truncated = len(work) < len(f.terms)
     trace = []
     while True:
@@ -133,7 +150,7 @@ def rescan_reduce(f, gb):
         c = work.pop(w)
         for tw, tc in rule.tail.terms.items():
             nw = word_mul(gens, word_mul(gens, u, tw), v)
-            if len(nw) >= gb.trunc:
+            if deg(nw) >= gb.trunc:
                 truncated = True
                 continue
             nv = work.get(nw, 0) + c * tc
