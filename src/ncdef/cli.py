@@ -5,8 +5,9 @@ Subcommands: ``zoo`` (laufer | length2 | karmazyn), ``gb``, ``matfac``,
 (or the command only reports a derivation), 1 on a check failure, 2 on a
 usage or parse error, an unwritable ``--out`` path, or when the engine cannot
 finish (the completion step limit is exceeded, or two independent
-computations disagree, such as a certificate that does not replay); each
-exit-2 error, argparse's usage errors included, is one ``ncdef: error:`` line
+computations disagree, such as a certificate that does not replay or two
+certifying cuts with as many basis words but different ones); each exit-2
+error, argparse's usage errors included, is one ``ncdef: error:`` line
 on stderr.
 Only ``zoo`` and ``gb`` take ``--max-degree``, the truncation degree (default
 20, or ``NCDEF_MAX_DEGREE``); the other subcommands truncate nothing, reject
@@ -14,7 +15,8 @@ it (exit 2) and never read ``NCDEF_MAX_DEGREE``.  Quotient reports truncate
 by the order's degree, which is the weight for a weighted presentation: with
 ``--max-degree N`` the last cut is w*(N - 1) + 1 for the largest generator
 weight w, the least cut that keeps every word of length < N, and it is N for
-an unweighted one.  ``certified_at`` and ``up_to`` are such cuts.
+an unweighted one.  ``certified_at`` and ``up_to`` are such cuts.  A weighted
+quotient that is not finite runs every cut and can hold very many words.
 """
 
 from __future__ import annotations

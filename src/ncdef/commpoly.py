@@ -4,7 +4,8 @@
 core of :class:`~ncdef.freealg.NcPoly`; :class:`CommPoly` takes exponent
 tuples as monomials, and :func:`substitute` serves both.  The monomial order is graded (optionally weighted) lexicographic with ties broken
 by variable declaration order.  Includes normal forms, quotient monomial
-bases, and local (truncation-stabilized) quotient reports.
+bases, and local (truncation-stabilized) quotient reports; :func:`stable_tower`
+certifies a truncated tower for this engine and for the rewriting engine.
 
 :func:`groebner` discards useless S-pairs before reducing them with the
 Gebauer-Moeller criteria (the B, M and F chain criteria and the coprime-lead
@@ -23,7 +24,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
 from operator import add, le, mul, sub
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -34,6 +35,10 @@ class VarSetError(ValueError):
 
 class DivisionByZeroPolyError(ZeroDivisionError):
     """Exact division by the zero polynomial."""
+
+
+class InternalConsistencyError(AssertionError):
+    """Two independent computations of the same quantity disagreed."""
 
 
 @dataclass(frozen=True)
@@ -551,31 +556,68 @@ def graded_dims(degrees: Iterable[int]) -> list[int]:
     return [graded.get(d, 0) for d in range(max(graded, default=0) + 1)]
 
 
+def stable_tower(cuts: Iterable[int], basis_at: Callable[[int], tuple]):
+    """Run the cuts until two consecutive ones give bases of equal size.
+
+    ``basis_at(W)`` returns the standard words (or monomials) of I + F_W,
+    where F_W spans every word of degree >= W, and the state they came from.
+    Returns ``(certified_at, cut, basis, state)``: the first cut W whose
+    successor W' gives as many words (or None), the last cut run, and its
+    basis and state.  Consecutive cuts differ by at least the heaviest letter.
+
+    Let A_M = k<X>/(I + F_M) (or k[X]/(I + F_M)).  A_{W'} surjects onto A_W,
+    so equal dimensions (the basis sizes) give I + F_W = I + F_{W'}.  Take a
+    word x of degree >= W and strip letters from its left until the suffix y
+    has degree in [W, W'); no letter is heavier than W' - W, so this
+    happens.  Then x = u*y with y in I + F_{W'}, so x lies in
+    I + F_{deg(u) + W'}, which is inside I + F_{deg(x) + 1}.  Hence F_M is
+    inside I + F_{M+1} for every M >= W, and by induction I + F_W = I + F_M:
+    the tower is constant from W on.  Both bases are then the standard words
+    of one ideal under one order, so bases of one size that differ as sets
+    raise :class:`InternalConsistencyError`.
+    """
+    prev = None
+    for cut in cuts:
+        basis, state = basis_at(cut)
+        if prev is not None and len(prev[1]) == len(basis):
+            if set(prev[1]) != set(basis):
+                raise InternalConsistencyError(
+                    f"cuts {prev[0]} and {cut} give {len(basis)} standard "
+                    "words each, but different ones"
+                )
+            return prev[0], cut, basis, state
+        prev = (cut, basis)
+    return None, cut, basis, state
+
+
 @dataclass
 class LocalReport:
     """Truncation-stabilized quotient data for an ideal plus all degree-N
-    monomials, reported at the smallest stabilizing N."""
+    monomials; ``basis`` and ``gb``, the reduced basis of the cut ideal, are
+    those of the last cut N run (``certified_at`` + 1 if finite, else maxN)."""
 
     status: str  # "finite" | "not-finite"
     dim: int
     certified_at: Optional[int]
     graded_dims: list[int]
     basis: list[Exponents]
+    gb: CommGB = field(repr=False, compare=False)
 
 
 def local_report(
     gens: Sequence[CommPoly], order: GrlexOrder, maxN: int
 ) -> LocalReport:
     """Dimension of the quotient by (gens) + all monomials of degree >= N,
-    certified by one-step stabilization of the truncated basis count."""
+    certified when the standard monomial counts of the cut ideals agree at
+    consecutive N (:func:`stable_tower`, with every variable of degree 1)."""
     if maxN < 2:
         raise ValueError(f"the maximum cutoff must be >= 2, got {maxN}")
-    prev: Optional[QuotientBasis] = None
-    for N in range(2, maxN + 1):
-        qb = quotient_basis(cut_groebner(gens, order, N), N)
-        if prev is not None and prev.dim == qb.dim:
-            gd = graded_dims(sum(e) for e in prev.monomials)
-            return LocalReport("finite", prev.dim, N - 1, gd, prev.monomials)
-        prev = qb
-    gd = graded_dims(sum(e) for e in prev.monomials)
-    return LocalReport("not-finite", prev.dim, None, gd, prev.monomials)
+
+    def basis_at(N: int) -> tuple[list[Exponents], CommGB]:
+        gb = cut_groebner(gens, order, N)
+        return quotient_basis(gb, N).monomials, gb
+
+    certified_at, _, basis, gb = stable_tower(range(2, maxN + 1), basis_at)
+    status = "not-finite" if certified_at is None else "finite"
+    gd = graded_dims(map(sum, basis))
+    return LocalReport(status, len(basis), certified_at, gd, basis, gb)

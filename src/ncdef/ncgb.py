@@ -10,9 +10,9 @@ under ``wdeglex``.  Since no tail word has a lower degree than its lead, a
 rewrite of a word at or past the cut only creates words at or past the cut,
 so dropping them is safe at every step.  The resulting system presents the
 quotient of the free algebra by the relation ideal plus F_trunc, the span of
-all words of degree >= ``trunc``; :func:`quotient_report` stabilizes that
-quotient over increasing cutoffs to certify the dimension of the completed
-algebra.
+all words of degree >= ``trunc``; :func:`quotient_report` certifies the
+dimension of the completed algebra through
+:func:`~ncdef.commpoly.stable_tower`, the rule the commutative engine uses.
 
 Rules carry provenance: an exact rule records how its polynomial expands as a
 two-sided combination of the original relations, which lets
@@ -38,13 +38,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .commpoly import GrlexOrder, VarSet, graded_dims, local_report
+from .commpoly import (GrlexOrder, InternalConsistencyError, VarSet, graded_dims,
+                       local_report, stable_tower, substitute)
 from .freealg import (
     GenSet,
     NcOrder,
     NcPoly,
     Word,
-    commutator,
     nc_abelianize,
     word_mul,
     word_split,
@@ -68,10 +68,6 @@ class DimensionUndefinedError(ValueError):
     def __init__(self, msg: str, report: "QuotientReport"):
         super().__init__(msg)
         self.report = report
-
-
-class InternalConsistencyError(AssertionError):
-    """Two independent computations of the same quantity disagreed."""
 
 
 class NotFiniteError(ValueError):
@@ -390,14 +386,10 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
             # disjoint factors competing for shared central letters
             if shared:
                 emit(rest_p, qn, rest_q + pn, (), clen + len(pn) + len(qn))
-        elif pn and not qn:
-            if shared:
-                emit(rest_p, (), rest_q, pn, clen + len(pn))
-        elif qn and not pn:
-            pass  # covered by the (rq, rp) ordered pair
-        else:
-            if shared and rp is not rq:
-                emit(rest_p, (), rest_q, (), clen)
+        elif not qn and shared and (pn or rp is not rq):
+            # a central-only lead q against any lead it shares central
+            # letters with (qn without pn is the (rq, rp) ordered pair)
+            emit(rest_p, (), rest_q, pn, clen + len(pn))
 
     steps = 0
     while heap:
@@ -502,40 +494,21 @@ def quotient_report(
     w*(maxN - 1) + 1, is the least one that keeps every word of length
     < maxN.  ``certified_at`` and ``up_to`` are cuts, that is, order degrees.
 
-    Equal dimensions at consecutive cuts W and W + w certify the dimension.
-    Let F_M span the words of degree >= M and A_M = k<X>/(I + F_M).  A_{W+w}
-    surjects onto A_W, so equal dimensions give I + F_W = I + F_{W+w}.  Take
-    a word x of degree >= W and strip letters from its left until the suffix
-    y has degree in [W, W + w); no letter weighs more than w, so this
-    happens.  Then x = u*y with y in I + F_{W+w}, so x lies in
-    I + F_{deg(u) + W + w}, which is inside I + F_{deg(x) + 1}.  Hence
-    F_M is inside I + F_{M+1} for every M >= W, and by induction
-    I + F_W = I + F_M for every M >= W: the tower is constant from W on.
-    The reported monomial basis is taken from the first pair of consecutive
-    cuts whose basis sets agree.
+    :func:`~ncdef.commpoly.stable_tower` runs the cuts and proves that equal
+    dimensions at consecutive cuts W and W + w certify the dimension.  The
+    basis, ``gb`` and ``up_to`` are the last cut's, W + w when certified.
     """
     if maxN < 2:
         raise ValueError(f"the maximum cutoff must be >= 2, got {maxN}")
     step = max(p.gens.weights) if p.order == "wdeglex" else 1
-    basis: Optional[list[Word]] = None
-    gb: Optional[TruncatedGB] = None
-    certified_at: Optional[int] = None
-    stabilized = False
-    last_n = step * (maxN - 1) + 1
-    prev: Optional[tuple[list[Word], TruncatedGB]] = None
-    for N in range(step + 1, last_n + 1, step):
-        cur_gb = nc_complete(p, N, provenance=False)
-        cur_basis = _irreducible_words(cur_gb)
-        if prev is not None:
-            pb, pgb = prev
-            if certified_at is None and len(pb) == len(cur_basis):
-                certified_at = N - step
-            if certified_at is not None and set(pb) == set(cur_basis):
-                basis, gb, stabilized, last_n = cur_basis, cur_gb, True, N
-                break
-        prev = (cur_basis, cur_gb)
-    if not stabilized:
-        basis, gb = prev
+
+    def basis_at(N: int) -> tuple[list[Word], TruncatedGB]:
+        gb = nc_complete(p, N, provenance=False)
+        return _irreducible_words(gb), gb
+
+    certified_at, up_to, basis, gb = stable_tower(
+        range(step + 1, step * (maxN - 1) + 2, step), basis_at
+    )
     status = "finite" if certified_at is not None else "not-finite"
     weight_list = None
     if p.order == "wdeglex" and status == "finite":
@@ -544,7 +517,7 @@ def quotient_report(
         status=status,
         dim=len(basis) if status == "finite" else None,
         certified_at=certified_at,
-        up_to=last_n,
+        up_to=up_to,
         basis=basis,
         graded_dims=graded_dims(len(w) for w in basis),
         weight_list=weight_list,
@@ -696,18 +669,14 @@ class AbelianizationReport:
 
 
 def abelianization_report(p: Presentation, maxN: int = 20) -> AbelianizationReport:
-    """Quotient report after adding all commutators of noncommuting
-    generators, cross-checked against an independent commutative computation
-    on the abelianized relations."""
+    """Quotient report of the relations with every generator made central,
+    dropping those whose image is zero (commutators), cross-checked against
+    ``comm_report``, the commutative :func:`~ncdef.commpoly.local_report` of
+    the abelianized relations; both certify through ``stable_tower``."""
     gens = p.gens
-    noncentral = [i for i, c in enumerate(gens.central) if not c]
-    comms = []
-    for a in range(len(noncentral)):
-        for b in range(a):
-            fa = NcPoly(gens, {(noncentral[a],): Fraction(1)})
-            fb = NcPoly(gens, {(noncentral[b],): Fraction(1)})
-            comms.append(commutator(fa, fb))
-    p_ab = Presentation(gens, p.relations + tuple(comms), p.order)
+    central = GenSet(gens.names, gens.weights, (True,) * len(gens.names))
+    images = (substitute(r, {}, central) for r in p.relations)
+    p_ab = Presentation(central, tuple(r for r in images if not r.is_zero()), p.order)
     rep = quotient_report(p_ab, maxN, allow_free_central=True)
 
     vars = VarSet(gens.names)

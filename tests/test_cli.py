@@ -331,6 +331,21 @@ def test_certificate_replay_failure_is_one_line_error(monkeypatch, capsys):
     assert "replay" in cap.err
 
 
+def test_basis_mismatch_at_certifying_cuts_is_one_line_error(
+        tmp_path, monkeypatch, capsys):
+    """Two cuts with as many standard words but different ones contradict
+    the certification proof: exit 2 with one error line, no traceback."""
+    from ncdef import ncgb
+
+    monkeypatch.setattr(ncgb, "_irreducible_words", lambda gb: [(gb.trunc,)])
+    f = tmp_path / "alg.txt"
+    f.write_text("generators: a\nrelations: a^3\n")
+    code, doc, cap = run(capsys, "gb", str(f), "--max-degree", "8")
+    assert code == 2 and doc is None and _one_line_error(cap)
+    assert "cuts 2 and 3 give 1 standard words each" in cap.err
+    assert "Traceback" not in cap.err + cap.out
+
+
 def test_matfac_witness_failure_is_one_line_error(monkeypatch, capsys):
     from ncdef import matfac
 

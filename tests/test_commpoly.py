@@ -12,6 +12,7 @@ from ncdef.commpoly import (
     CommGB,
     CommPoly,
     GrlexOrder,
+    InternalConsistencyError,
     VarSetError,
     divexact,
     groebner,
@@ -21,6 +22,7 @@ from ncdef.commpoly import (
     partials,
     poly_str,
     quotient_basis,
+    stable_tower,
     substitute,
     varset,
 )
@@ -219,6 +221,57 @@ def test_local_report_rejects_max_cutoff_below_two():
     for maxN in (1, 0, -3):
         with pytest.raises(ValueError, match=f"must be >= 2, got {maxN}"):
             local_report(gens, GrlexOrder(XYZW), maxN)
+
+
+def _fake_tower(bases):
+    """A ``basis_at`` that reads the basis at each cut from ``bases`` and
+    logs the cuts it is asked for; the state is a label of the cut."""
+    asked = []
+
+    def basis_at(cut):
+        asked.append(cut)
+        return bases[cut], f"state {cut}"
+
+    return basis_at, asked
+
+
+def test_stable_tower_certifies_at_the_first_equal_count():
+    bases = {2: ["1"], 3: ["1", "x"], 5: ["1", "x", "y"], 7: ["y", "1", "x"],
+             9: ["1", "x", "y"]}
+    basis_at, asked = _fake_tower(bases)
+    assert stable_tower([2, 3, 5, 7, 9], basis_at) == (5, 7, bases[7], "state 7")
+    assert asked == [2, 3, 5, 7]  # no cut past the certifying pair is run
+
+
+def test_stable_tower_without_agreement_returns_the_last_cut():
+    bases = {N: list(range(N)) for N in range(2, 7)}
+    basis_at, asked = _fake_tower(bases)
+    assert stable_tower(range(2, 7), basis_at) == (None, 6, bases[6], "state 6")
+    assert asked == [2, 3, 4, 5, 6]
+
+
+def test_stable_tower_equal_counts_with_different_words_raise():
+    """Equal counts prove the two cut ideals equal, so their standard words
+    must be the same set; two different sets of one size are an error."""
+    basis_at, asked = _fake_tower({2: ["1"], 3: ["1", "x"], 4: ["1", "y"]})
+    with pytest.raises(InternalConsistencyError, match="cuts 3 and 4 give 2"):
+        stable_tower([2, 3, 4, 5], basis_at)
+    assert asked == [2, 3, 4]
+
+
+def test_local_report_keeps_the_reduced_basis_of_its_last_cut():
+    """``gb`` is the reduced basis of the cut ideal at ``certified_at`` + 1,
+    and ``basis`` its standard monomials."""
+    v2 = varset("x", "y")
+    a, b = CommPoly.variable(v2, "x"), CommPoly.variable(v2, "y")
+    gens = [a * a - b ** 3, a * b]
+    rep = local_report(gens, GrlexOrder(v2), 12)
+    cut = commpoly.cut_groebner(gens, GrlexOrder(v2), rep.certified_at + 1)
+    assert rep.gb.basis == cut.basis
+    assert rep.basis == quotient_basis(cut, rep.certified_at + 1).monomials
+    open_rep = local_report([a * a - b ** 3], GrlexOrder(v2), 7)
+    assert open_rep.gb.basis == commpoly.cut_groebner(
+        [a * a - b ** 3], GrlexOrder(v2), 7).basis
 
 
 def test_local_report_criteria_prune_pairs(monkeypatch):

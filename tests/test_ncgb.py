@@ -17,8 +17,9 @@ import sys
 import pytest
 
 from ncdef import ncgb
+from ncdef.commpoly import GrlexOrder, VarSet, local_report
 from ncdef.exprparse import presentation_parse
-from ncdef.freealg import NcPoly, genset, word_mul, word_str
+from ncdef.freealg import NcPoly, genset, nc_abelianize, word_mul, word_str
 from ncdef.ncgb import (
     DimensionUndefinedError,
     Presentation,
@@ -343,6 +344,32 @@ def test_quotient_report_basis_counts_monotone():
     counts = [len(_irreducible_words(nc_complete(p, n))) for n in range(2, 13)]
     assert counts == sorted(counts)
     assert counts[-1] == counts[-2] == 9
+
+
+ALL_CENTRAL = {
+    "cusp-and-xy": "x y ; x^2 - y^3 ; x*y",
+    "cusp": "x y ; x^2 - y^3",
+    "f0-jacobian": "x y z w ; 2*x ; 3*y^2 + w^3 ; 2*z*w ; z^2 + 3*y*w^2",
+    "inhomogeneous": "x y ; x^2 + x^3*y ; y^3 - x*y^2 + x^4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_CENTRAL))
+def test_both_engines_certify_an_all_central_presentation_alike(name):
+    """With every generator central the rewriting engine computes a
+    commutative quotient, so its tower and commutative local_report's must
+    certify at the same cut with the same dimension.  The bases are not
+    compared: rules lead with the lowest-degree term and grlex with the
+    highest, so on an inhomogeneous ideal the standard monomials differ."""
+    names, *rels = ALL_CENTRAL[name].split(" ; ")
+    p = presentation_parse(
+        f"generators: {names}\ncentral: {names}\nrelations: {' ; '.join(rels)}\n")
+    crep = local_report([nc_abelianize(r) for r in p.relations],
+                        GrlexOrder(VarSet(p.gens.names)), 9)
+    rep = quotient_report(p, 9, allow_free_central=True)
+    assert (rep.status, len(rep.basis), rep.certified_at) == (
+        crep.status, crep.dim, crep.certified_at)
+    assert rep.dim == (crep.dim if crep.status == "finite" else None)
 
 
 def test_free_central_parameter_rejected():
