@@ -46,6 +46,7 @@ from .matfac import (
 from .ncgb import DimensionUndefinedError, InternalConsistencyError, quotient_report
 from .zoo import (
     karmazyn_contraction_presentation,
+    laufer_lambda,
     laufer_presentation,
     length2_universal_suite,
     verify_higher_length,
@@ -91,31 +92,11 @@ def _doc(command: str, inputs: dict[str, Any], checks: list[dict[str, Any]],
 
 
 def _parse_lambda(text: str, n: int) -> list:
-    if n < 1:  # before the entry count, which is 2n
-        raise ValueError("n must be >= 1")
+    """The ``--lambda`` entries, split at commas and checked by
+    :func:`~ncdef.zoo.laufer_lambda`; a bare "sym" makes every entry
+    symbolic."""
     entries = [e.strip() for e in text.split(",") if e.strip()]
-    if entries == ["sym"]:
-        return ["sym"] * (2 * n)
-    out: list = []
-    for e in entries:
-        if e == "sym":
-            out.append("sym")
-        else:
-            try:
-                out.append(Fraction(e))
-            except ValueError:
-                raise argparse.ArgumentTypeError(
-                    f"lambda entry {e!r} is neither a rational nor 'sym'"
-                ) from None
-            except ZeroDivisionError:
-                raise argparse.ArgumentTypeError(
-                    f"lambda entry {e!r} has a zero denominator"
-                ) from None
-    if len(out) != 2 * n:
-        raise argparse.ArgumentTypeError(
-            f"need 2n = {2 * n} lambda entries, got {len(out)}"
-        )
-    return out
+    return laufer_lambda(n, None if entries == ["sym"] else entries)
 
 
 def _require_max_degree(what: str, maxN: int, least: int) -> None:
@@ -271,12 +252,12 @@ def _cmd_bundle(args) -> dict[str, Any]:
 
 
 def _cmd_identities(args) -> dict[str, Any]:
-    lam = None if args.lam is None else _parse_lambda(args.lam, args.n)
+    lam = _parse_lambda(args.lam, args.n)
     checks = [
         _check(name, "pass" if good else "fail")
         for name, good in polynomial_identity_suite(args.n, lam).items()
     ]
-    if lam is None or all(v == "sym" for v in lam):
+    if all(v == "sym" for v in lam):
         lam = "sym"
     return _doc("identities", {"n": args.n, "lambda": lam}, checks)
 
@@ -342,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     idn = sub.add_parser("identities", help="scalar polynomial identities")
     idn.add_argument("--n", type=int, required=True)
-    idn.add_argument("--lambda", dest="lam", default=None)
+    idn.add_argument("--lambda", dest="lam", default="sym")
     common(idn)
     return top
 

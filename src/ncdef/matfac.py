@@ -12,11 +12,11 @@ of PHI.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .commpoly import CommPoly, divexact, partials, substitute, varset
 from .ncgb import InternalConsistencyError
+from .zoo import laufer_lambda
 
 SVARS = varset("x", "y", "z", "t", "u", "v", "w")
 
@@ -261,9 +261,9 @@ def generator_identity_suite() -> dict[str, bool]:
 def polynomial_identity_suite(n: int, lam: Optional[Sequence] = None) -> dict[str, bool]:
     """Scalar polynomial identities behind the hypersurface family.
 
-    ``lam`` has 2n entries, each a rational value or the token "sym", which
-    keeps parameter i as the symbolic variable li; ``lam=None`` means all
-    "sym".  Checks:
+    ``lam`` is checked by :func:`ncdef.zoo.laufer_lambda`: 2n entries, each
+    a rational or the token "sym", which keeps parameter i as the symbolic
+    variable li; ``lam=None`` means all "sym".  Checks:
     (i)  u*F = u*x^2 + B^2 + A*C with A = uw - v^2, B = uy + vz, C = z^2 + ut^2;
     (ii) substituting t = (-w)^n, u = y + sum_i li*(-w)^i, v = 0 into F yields
          x^2 + y^3 + sum li*y^2*(-w)^i + z^2*w + y*w^(2n+1)
@@ -272,20 +272,16 @@ def polynomial_identity_suite(n: int, lam: Optional[Sequence] = None) -> dict[st
          weights (6n+3, 4n+2, 6n+1, 4) on (x, y, z, w), equals
          (12n+6)*F_lam + sum_j (4j-4n-2)*lj*(y^2*(-w)^j - (-w)^(j+2n+1)).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    lam = laufer_lambda(n, lam)
     a_p = _u * _w - _v * _v
     b_p = _u * _y + _v * _z
     c_p = _z * _z + _u * _t * _t
     ok_quadric = _u * F_POLY == _u * _x * _x + b_p * b_p + a_p * c_p
 
-    lam = ["sym"] * (2 * n) if lam is None else list(lam)
-    if len(lam) != 2 * n:
-        raise ValueError("need 2n parameter values")
     ext = varset(*SVARS.names, *(f"l{i}" for i, v in enumerate(lam, 1) if v == "sym"))
     x, y, z, w = (CommPoly.variable(ext, v) for v in "xyzw")
     lams = [
-        CommPoly.variable(ext, f"l{i}") if v == "sym" else CommPoly.const(ext, Fraction(v))
+        CommPoly.variable(ext, f"l{i}") if v == "sym" else CommPoly.const(ext, v)
         for i, v in enumerate(lam, 1)
     ]
     mw = -w

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .commpoly import (GrlexOrder, InternalConsistencyError, VarSet, graded_dims,
-                       local_report, stable_tower, substitute)
+from .commpoly import (GrlexOrder, InternalConsistencyError, LocalReport, VarSet,
+                       graded_dims, local_report, stable_tower, substitute)
 from .freealg import (
     GenSet,
     NcOrder,
@@ -665,7 +665,7 @@ class AbelianizationReport:
     status: str
     dim: Optional[int]
     certified_at: Optional[int]
-    comm_report: object  # commpoly.LocalReport
+    comm_report: LocalReport
 
 
 def abelianization_report(p: Presentation, maxN: int = 20) -> AbelianizationReport:

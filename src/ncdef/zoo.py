@@ -46,38 +46,63 @@ LambdaEntry = Union[Fraction, int, str]  # a rational or the token "sym"
 
 # -- deformed anticommuting family ------------------------------------------
 
-def laufer_presentation(n: int, lam: Sequence[LambdaEntry]) -> Presentation:
-    """Two generators a, b with relations a*b + b*a and
-    a^2 + b^(2n+1) + sum lam_i * b^(2i), i = 1..2n.
-
-    Rational entries specialize the parameters; the token "sym" keeps that
-    parameter as a central symbolic generator (the order then falls back to
-    plain degree-lex, since the parameters carry no natural weight).
-    """
+def laufer_lambda(
+    n: int, lam: Optional[Sequence[LambdaEntry]]
+) -> list[LambdaEntry]:
+    """The checked parameters of the Laufer family A(n, lam): 2n entries,
+    each a rational (a Fraction, an int or a string such as "1/3") or the
+    token "sym"; ``None`` means every entry "sym".  Checks n >= 1 first, then
+    each entry, then the count, and returns the entries as Fractions and
+    "sym".  Every error is a ValueError; those about lam name lambda."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lam = list(lam)
-    if len(lam) != 2 * n:
-        raise ValueError(f"need 2n = {2*n} lambda entries, got {len(lam)}")
-    symbolic = [i for i, v in enumerate(lam) if isinstance(v, str)]
-    for i in symbolic:
-        if lam[i] != "sym":
-            raise ValueError(f"lambda entry {lam[i]!r} is neither rational nor 'sym'")
+    if lam is None:
+        return ["sym"] * (2 * n)
+    out: list[LambdaEntry] = []
+    for v in lam:
+        try:
+            out.append("sym" if v == "sym" else Fraction(v))
+        except ZeroDivisionError:
+            raise ValueError(f"lambda entry {v!r} has a zero denominator") from None
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(
+                f"lambda entry {v!r} is neither a rational nor 'sym'") from None
+    if len(out) != 2 * n:
+        raise ValueError(f"need 2n = {2 * n} lambda entries, got {len(out)}")
+    return out
+
+
+def _deformation(b: NcPoly, lam: Sequence[LambdaEntry]) -> NcPoly:
+    """b^(2n+1) + sum lam_i * b^(2i) for checked parameters lam_1 .. lam_2n;
+    a "sym" lam_i is the central generator li of b's generator set."""
+    out = b ** (len(lam) + 1)
+    for i, v in enumerate(lam, 1):
+        if v == "sym":
+            out = out + NcPoly.gen(b.gens, f"l{i}") * b ** (2 * i)
+        elif v:
+            out = out + (b ** (2 * i)).scale(v)
+    return out
+
+
+def laufer_presentation(n: int, lam: Optional[Sequence[LambdaEntry]]) -> Presentation:
+    """Two generators a, b with relations a*b + b*a and
+    a^2 + b^(2n+1) + sum lam_i * b^(2i), i = 1..2n, for lam as
+    :func:`laufer_lambda` checks it.
+
+    Rational entries specialize the parameters; the token "sym" keeps that
+    parameter as a central symbolic generator li (the order then falls back
+    to plain degree-lex, since the parameters carry no natural weight).
+    """
+    lam = laufer_lambda(n, lam)
+    symbolic = [f"l{i}" for i, v in enumerate(lam, 1) if v == "sym"]
     if symbolic:
-        names = ["a", "b"] + [f"l{i+1}" for i in symbolic]
-        gens = genset(names, central=names[2:])
+        gens = genset(["a", "b"] + symbolic, central=symbolic)
         order = "deglex"
     else:
         gens = genset(["a", "b"], weights=[2 * n + 1, 2])
         order = "wdeglex"
     a, b = NcPoly.gen(gens, "a"), NcPoly.gen(gens, "b")
-    rel2 = a * a + b ** (2 * n + 1)
-    for i, v in enumerate(lam):
-        if isinstance(v, str):
-            rel2 = rel2 + NcPoly.gen(gens, f"l{i+1}") * b ** (2 * (i + 1))
-        elif Fraction(v):
-            rel2 = rel2 + (b ** (2 * (i + 1))).scale(Fraction(v))
-    return Presentation(gens, (a * b + b * a, rel2), order)
+    return Presentation(gens, (a * b + b * a, a * a + _deformation(b, lam)), order)
 
 
 def standard_lambda(n: int, i: int) -> list[Fraction]:
@@ -174,10 +199,10 @@ def length2_universal_suite(trunc: int = 8) -> Length2Report:
     coefficient equations under the derived element expressions."""
     if trunc < 8:
         raise ValueError("trunc must be >= 8")
-    g = _length2_gens()
+    claimed = length2_claimed_presentation()
+    g = claimed.gens
     t = NcPoly.gen(g, "t")
     relations = _length2_relations(g)
-    claimed = Presentation(g, tuple(r for _, r in relations), "deglex")
     elems = length2_central_elements()
     centrality = _centrality_claims(elems.items(), g, ("a", "b"))
     derived = Presentation(g, tuple(c for _, c in centrality), "deglex")
@@ -209,27 +234,24 @@ def laufer_specialization_check(
     """From the universal length-2 relations plus the specialization
     t = b^(2n), a*b+b*a = 0, a^2 = -(t*b + sum lam_i b^(2i)), certify the
     deformed two-generator relations and the vanishing of a*b^(2n+1), t*a*b,
-    t*b*a."""
-    lam = [Fraction(v) for v in lam]
-    if len(lam) != 2 * n:
-        raise ValueError(f"need 2n = {2*n} lambda entries")
+    t*b*a.  The parameters are rational: "sym" is rejected."""
+    lam = laufer_lambda(n, lam)
+    if "sym" in lam:
+        raise ValueError(
+            "laufer_specialization_check takes rational lambda entries, not 'sym'")
     g = _length2_gens()
     t, a, b = (NcPoly.gen(g, n_) for n_ in ("t", "a", "b"))
-    deform = t * b
-    target = a * a + b ** (2 * n + 1)
-    for i, v in enumerate(lam):
-        if v:
-            deform = deform + (b ** (2 * (i + 1))).scale(v)
-            target = target + (b ** (2 * (i + 1))).scale(v)
+    deform = _deformation(b, lam)
     p = Presentation(
         g,
         tuple(r for _, r in _length2_relations(g))
-        + (t - b ** (2 * n), a * b + b * a, a * a + deform),
+        + (t - b ** (2 * n), a * b + b * a,
+           a * a + t * b + deform - b ** (2 * n + 1)),
         "deglex",
     )
     claims = [
         ("a*b+b*a", a * b + b * a),
-        ("a^2+b^(2n+1)+sum", target),
+        ("a^2+b^(2n+1)+sum", a * a + deform),
         ("a*b^(2n+1)", a * b ** (2 * n + 1)),
         ("t*a*b", t * a * b),
         ("t*b*a", t * b * a),
@@ -327,6 +349,13 @@ def claimed_relation_readings(l: int) -> list[list[tuple[str, NcPoly]]]:
     t, b, c = (NcPoly.gen(g, n) for n in ("t", "b", "c"))
     u = {int(n[1:]): NcPoly.gen(g, n) for n in g.names if n.startswith("u")}
     bc = b * c - c * b
+    # w - reverse(w) summed over the words w = b*m*c of length 4
+    deg4 = (
+        b ** 3 * c - c * b ** 3
+        + b * b * c * c - c * c * b * b
+        + b * c * b * c - c * b * c * b
+        + b * c ** 3 - c ** 3 * b
+    )
     if l == 2:
         return [
             [("literal", t * b * c - t * c * b)],
@@ -345,12 +374,6 @@ def claimed_relation_readings(l: int) -> list[list[tuple[str, NcPoly]]]:
             )],
         ]
     if l == 4:
-        long = (
-            b ** 3 * c - c * b ** 3
-            + b * b * c * c - c * c * b * b
-            + b * c * b * c - c * b * c * b
-            - c ** 3 * b + b * c ** 3
-        )
         return [
             [("literal", b * b * c - c * b * b)],
             [(
@@ -361,7 +384,7 @@ def claimed_relation_readings(l: int) -> list[list[tuple[str, NcPoly]]]:
                 "literal",
                 (u[6].scale(16) - (t * t).scale(3)) * bc
                 + (t * (b * c * c - c * c * b)).scale(12)
-                - long.scale(16),
+                - deg4.scale(16),
             )],
         ]
     if l == 5:
@@ -391,12 +414,6 @@ def claimed_relation_readings(l: int) -> list[list[tuple[str, NcPoly]]]:
         ]
     # l == 6
     sym = b * b * c - c * b * b + b * c * c - c * c * b
-    deg4 = (
-        b ** 3 * c - c * b ** 3
-        + b * b * c * c - c * c * b * b
-        + b * c * b * c - c * b * c * b
-        + b * c ** 3 - c ** 3 * b
-    )
     deg5 = (
         c ** 4 * b - b * c ** 4
         + c ** 3 * b * b - b * b * c ** 3
@@ -647,10 +664,12 @@ def superpotential_check(n: int, lam: Sequence[LambdaEntry]) -> SuperpotentialRe
     """Cyclically differentiate the candidate potential in a, b, c, d, w and
     compare with the displayed relation list; mismatches are reported as
     data.  Also checks that setting c = d = w = 0 in the displayed relations
-    recovers the deformed two-generator family."""
-    lam = [Fraction(v) for v in lam]
-    if len(lam) != 2 * n:
-        raise ValueError(f"need 2n = {2*n} lambda entries")
+    recovers the deformed two-generator family.  The parameters are
+    rational: "sym" is rejected."""
+    lam = laufer_lambda(n, lam)
+    if "sym" in lam:
+        raise ValueError(
+            "superpotential_check takes rational lambda entries, not 'sym'")
     g = genset(["a", "b", "c", "d", "w"])
     a, b, c, d, w = (NcPoly.gen(g, x) for x in "abcdw")
     pot = (
@@ -664,13 +683,9 @@ def superpotential_check(n: int, lam: Sequence[LambdaEntry]) -> SuperpotentialRe
     for i, v in enumerate(lam):
         if v:
             pot = pot + (b ** (2 * i + 3)).scale(v / (2 * i + 3))
-    rel_b_tail = b ** (2 * n + 1)
-    for i, v in enumerate(lam):
-        if v:
-            rel_b_tail = rel_b_tail + (b ** (2 * (i + 1))).scale(v)
     displayed = {
         "a": a * b + b * a,
-        "b": a * a + b * d * c + d * c * b + rel_b_tail,
+        "b": a * a + b * d * c + d * c * b + _deformation(b, lam),
         "c": (b * b + d * c) * d,
         "d": c * (b * b + d * c),
         "w": c * d + (w ** n).scale(Fraction((-1) ** n)),

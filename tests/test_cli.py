@@ -4,7 +4,15 @@ import inspect
 import json
 import textwrap
 
+import pytest
+
 from ncdef.cli import main, run_command
+from ncdef.matfac import polynomial_identity_suite
+from ncdef.zoo import (
+    laufer_presentation,
+    laufer_specialization_check,
+    superpotential_check,
+)
 
 
 def run(capsys, *argv):
@@ -420,3 +428,52 @@ def test_n_below_one_is_reported_before_lambda(capsys):
         code, doc, cap = run(capsys, *argv)
         assert code == 2 and doc is None and _one_line_error(cap), argv
         assert "n must be >= 1" in cap.err and "lambda" not in cap.err, argv
+
+
+# (n, lambda entries); the CLI gets the entries joined by commas, None as "sym"
+LAMBDA_CASES = [
+    (1, None),
+    (1, ["sym", "0"]),
+    (1, ["sym", "sym"]),
+    (1, ["0", "-1/3"]),
+    (1, []),
+    (1, ["0"]),
+    (1, ["0", "0", "0"]),
+    (1, ["0", "x"]),
+    (1, ["sym", "1/0"]),
+    (2, ["x"]),
+    (0, ["x"]),
+]
+
+
+def _error(f, *args):
+    """The message of the ValueError f raises, or None."""
+    try:
+        f(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n,lam", LAMBDA_CASES,
+                         ids=[f"n{n}:{lam}" for n, lam in LAMBDA_CASES])
+def test_every_lambda_consumer_accepts_and_rejects_alike(n, lam, capsys):
+    error = _error(laufer_presentation, n, lam)
+    assert _error(polynomial_identity_suite, n, lam) == error
+    assert error is None or "lambda" in error or n < 1
+    text = "sym" if lam is None else ",".join(lam)
+    for cmd in (["zoo", "laufer", "--max-degree", "10"], ["identities"]):
+        code, doc, cap = run(capsys, *cmd, "--n", str(n), "--lambda", text)
+        if error is None:
+            assert code == 0 and doc["ok"] and cap.err == "", cmd
+        else:
+            assert code == 2 and doc is None and _one_line_error(cap), cmd
+            assert cap.err == f"ncdef: error: {error}\n", cmd
+    # the checks that take rationals only give the same errors and reject "sym"
+    if error is not None or lam is None or "sym" in lam:
+        for f in (laufer_specialization_check, superpotential_check):
+            got = _error(f, n, lam)
+            if error is not None:
+                assert got == error
+            else:
+                assert "lambda" in got and "'sym'" in got

@@ -9,6 +9,7 @@ after an intended change of behaviour, run
 """
 
 import ast
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -22,9 +23,13 @@ from ncdef.exprparse import presentation_parse
 from ncdef.freealg import NcPoly, genset, nc_abelianize, word_mul, word_str
 from ncdef.ncgb import (
     DimensionUndefinedError,
+    InternalConsistencyError,
+    NotFiniteError,
     Presentation,
     PresentationError,
     RewriteRule,
+    abelianization_report,
+    center_basis,
     derive_check,
     expand_certificate,
     find_division,
@@ -335,6 +340,24 @@ def test_quotient_report_not_finite():
     rep = quotient_report(p, maxN=12)
     assert rep.status == "not-finite"
     assert rep.up_to == 12
+
+
+def test_center_basis_needs_a_finite_report():
+    p = _pres(G2, [A * B + B * A, A * A + B * B])
+    with pytest.raises(NotFiniteError):
+        center_basis(quotient_report(p, maxN=6))
+
+
+def test_abelianization_engines_disagreeing_is_an_internal_error(monkeypatch):
+    local_report = ncgb.local_report
+
+    def one_too_many(gens, order, maxN):
+        rep = local_report(gens, order, maxN)
+        return dataclasses.replace(rep, dim=rep.dim + 1)
+
+    monkeypatch.setattr(ncgb, "local_report", one_too_many)
+    with pytest.raises(InternalConsistencyError, match="abelianization mismatch"):
+        abelianization_report(laufer(1))
 
 
 def test_quotient_report_basis_counts_monotone():

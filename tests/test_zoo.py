@@ -306,6 +306,15 @@ def test_superpotential_report_pattern():
     assert rep.reduces_to_deformed_family
 
 
+@pytest.mark.parametrize("n,i", [(n, i) for n in (1, 2) for i in range(1, 2 * n + 1)])
+def test_superpotential_report_at_nonzero_lambda(n, i):
+    # the lambda terms only involve b, so the report is the lambda = 0 one
+    rep = superpotential_check(n, standard_lambda(n, i))
+    assert rep.matches == {"a": True, "b": True, "c": False, "d": False, "w": True}
+    assert rep.reduces_to_deformed_family
+    assert rep == superpotential_check(n, standard_lambda(n, 0))
+
+
 def test_suitecheck_ok_values():
     assert SuiteCheck("x", "pass").ok
     assert SuiteCheck("x", "certified-zero").ok
