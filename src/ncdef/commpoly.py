@@ -12,9 +12,11 @@ Gebauer-Moeller criteria (the B, M and F chain criteria and the coprime-lead
 criterion), never queues a pair of two monomials, whose S-polynomial is zero,
 and reduces the pair of lowest sugar degree, then smallest lcm, first.  Its
 normal forms divide only by the live elements, those whose lead no later
-lead divides.  A :class:`CommGB` is monic and carries one list of its
-elements' lead exponents, so normal forms and quotient bases neither
-recompute a lead nor divide by its coefficient.
+lead divides.  Given a degree cut N it also holds every monomial of total
+degree N, without building them as generators (:func:`cut_groebner`).  A
+:class:`CommGB` is monic and carries one list of its elements' lead
+exponents, so normal forms and quotient bases neither recompute a lead nor
+divide by its coefficient.
 """
 
 from __future__ import annotations
@@ -346,10 +348,13 @@ class CommGB:
 
     ``reducers`` pairs each element :func:`normal_form` divides by with its
     lead exponents: every element here, but only the live ones while
-    :func:`groebner` runs."""
+    :func:`groebner` runs.  A ``cut`` N stands for every monomial of total
+    degree N, which the basis then holds without listing them: normal forms
+    drop each term of total degree >= N."""
 
     basis: list[CommPoly]
     order: GrlexOrder
+    cut: Optional[int] = field(default=None, compare=False)
     leads: list[Exponents] = field(init=False, repr=False, compare=False)
     reducers: list[tuple[CommPoly, Exponents]] = field(
         init=False, repr=False, compare=False
@@ -366,11 +371,14 @@ class CommGB:
 def normal_form(f: CommPoly, gb: CommGB) -> CommPoly:
     key = gb.order.key
     reducers = gb.reducers
+    cut = gb.cut
     rem: dict[Exponents, Fraction] = {}
     work = dict(f.terms)
     while work:
         e = max(work, key=key)
         c = work.pop(e)
+        if cut is not None and sum(e) >= cut:
+            continue
         for g, ge in reducers:
             if _exps_divides(ge, e):
                 qe = _exps_div(e, ge)
@@ -402,8 +410,11 @@ def _spoly(
     return CommPoly(f.vars, terms)
 
 
-def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
-    """Reduced monic Groebner basis of the ideal generated by ``gens``.
+def groebner(
+    gens: Sequence[CommPoly], order: GrlexOrder, *, cut: Optional[int] = None
+) -> CommGB:
+    """Reduced monic Groebner basis of the ideal generated by ``gens``, and
+    by every monomial of total degree ``cut`` when one is given.
 
     Buchberger's algorithm with the Gebauer-Moeller update.  When an element
     h is added, its pairs with the earlier elements are pruned by the M and F
@@ -420,12 +431,30 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
     elements only (``gb.reducers``): a retired lead is a multiple of a live
     one, so the reducible terms are the same.  On a homogeneous ideal the
     sugar degree is the degree of the lcm.
+
+    The cut monomials of total degree N = ``cut`` are basis elements that
+    are never built; the chain criterion stands in for their pairs.  Normal
+    forms drop every term of total degree >= N, a multiple of a cut monomial,
+    so every element h has a lead e with |e| < N.  A pair whose lcm L has
+    |L| >= N is not queued: L is a multiple of e * x^b for some |b| = N - |e|,
+    a cut monomial, and the chain through it needs only the pair of h with
+    e * x^b and a pair of two monomials, whose S-polynomial is zero.  So h
+    takes one cut item per such x^b, the S-polynomial x^b * (h - lead(h)) of
+    h with e * x^b, unless no term of h has total degree below |e|: then
+    every term of every cut item has degree >= N, and h takes none (a
+    single-term h among them).  A cut item goes by the M criterion when the
+    lcm of e and a live lead properly divides e * x^b: the chain then runs
+    through that element, whose own cut item at e * x^b is queued or goes
+    the same way through an earlier element.  The B criterion never removes
+    a cut item, as the chains above rest on them.  The basis of the last
+    step lists the cut monomials that no lead divides.
     """
-    gb = CommGB([], order)
+    gb = CommGB([], order, cut)
     leads = gb.leads  # lead exponents, parallel to gb.basis
     sugars: list[int] = []  # sugar degrees, parallel to gb.basis
     live: list[int] = []  # elements that take pairs with later ones
-    queue: list[tuple] = []  # heap of (sugar, order.key(lcm), i, j, lcm)
+    # heap of (sugar, order.key(lcm), i, j, lcm); j = -1 marks a cut item
+    queue: list[tuple] = []
 
     def add(h: CommPoly, sugar: int) -> None:
         e, c = h.lead(order)
@@ -447,46 +476,65 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
                 kept.append(i)
         queue[:] = [
             p for p in queue
-            if not _exps_divides(e, p[4])
+            if p[3] < 0
+            or not _exps_divides(e, p[4])
             or _exps_lcm(leads[p[2]], e) == p[4]
             or _exps_lcm(leads[p[3]], e) == p[4]
         ]
         heapify(queue)
         for i in kept:
-            if i not in coprime:
+            if i not in coprime and (cut is None or sum(lcms[i]) < cut):
                 s = order.degree(lcms[i]) + max(
                     sugars[i] - order.degree(leads[i]), sugar - order.degree(e)
                 )
                 heappush(queue, (s, order.key(lcms[i]), i, k, lcms[i]))
+        if cut is not None and any(sum(t) < sum(e) for t in h.terms):
+            # cut items x^b, |b| = rest; the M criterion drops x^b when
+            # lcm(e, lead_i) properly divides e * x^b, that is when
+            # lcm / e, of degree below rest, divides x^b
+            rest = cut - sum(e)
+            witnesses = [d for d in (_exps_div(lcms[i], e) for i in live)
+                         if sum(d) < rest]
+            for b in _standard_levels(len(e), witnesses, rest)[rest]:
+                lcm = _exps_mul(e, b)
+                s = order.degree(lcm) + sugar - order.degree(e)
+                heappush(queue, (s, order.key(lcm), k, -1, lcm))
         live[:] = [i for i in live if not _exps_divides(e, leads[i])] + [k]
         gb.reducers = [(gb.basis[i], leads[i]) for i in live]
 
     for g in gens:
+        if cut is not None:
+            g = CommPoly(g.vars, {e: c for e, c in g.terms.items() if sum(e) < cut})
         if not g.is_zero():
             add(g, max(map(order.degree, g.terms)))
-    if not gb.basis:
+    if not gb.basis and cut is None:
         raise ValueError("no nonzero generators")
     while queue:
         sugar, _, i, j, lcm = heappop(queue)
-        spoly = _spoly(gb.basis[i], leads[i], gb.basis[j], leads[j], lcm)
-        rem = normal_form(spoly, gb)
+        if j < 0:
+            g, ge = CommPoly.monomial(order.vars, lcm), lcm
+        else:
+            g, ge = gb.basis[j], leads[j]
+        rem = normal_form(_spoly(gb.basis[i], leads[i], g, ge, lcm), gb)
         if not rem.is_zero():
             add(rem, sugar)
     # inter-reduce to the unique reduced basis.  Every element left out of
     # ``live`` has a lead divisible by a live one, and live leads are distinct.
-    minimal = sorted(
-        (k for k in live
-         if not any(m != k and _exps_divides(leads[m], leads[k]) for m in live)),
-        key=lambda k: leads[k],
+    tails = CommGB(
+        [gb.basis[k] for k in live
+         if not any(m != k and _exps_divides(leads[m], leads[k]) for m in live)],
+        order, cut,
     )
-    tails = CommGB([gb.basis[k] for k in minimal], order)
-    reduced = []
+    reduced = {}
     for g, e in zip(tails.basis, tails.leads):
         # lead(g) divides none of its own tail terms, which lie below it, so
         # reducing the tail by all of ``tails`` reduces it by the others
         tail = CommPoly(g.vars, {t: v for t, v in g.terms.items() if t != e})
-        reduced.append(CommPoly(g.vars, {e: 1, **normal_form(tail, tails).terms}))
-    return CommGB(reduced, order)
+        reduced[e] = CommPoly(g.vars, {e: 1, **normal_form(tail, tails).terms})
+    if cut is not None:
+        for e in _standard_levels(len(order.vars), tails.leads, cut)[cut]:
+            reduced[e] = CommPoly.monomial(order.vars, e)
+    return CommGB([reduced[e] for e in sorted(reduced)], order)
 
 
 @dataclass
@@ -542,10 +590,11 @@ def monomials_of_degree(vars: VarSet, deg: int) -> list[Exponents]:
 
 def cut_groebner(gens: Sequence[CommPoly], order: GrlexOrder, N: int) -> CommGB:
     """Reduced basis of (gens) + every monomial of total degree N, whose
-    quotient is that of (gens) truncated below degree N."""
-    vars = order.vars
-    cut = [CommPoly.monomial(vars, e) for e in monomials_of_degree(vars, N)]
-    return groebner(list(gens) + cut, order)
+    quotient is that of (gens) truncated below degree N: :func:`groebner`
+    with the degree cut N, which never builds the cut monomials as
+    generators and lists in the basis only those that no other lead
+    divides."""
+    return groebner(gens, order, cut=N)
 
 
 def graded_dims(degrees: Iterable[int]) -> list[int]:
@@ -609,7 +658,10 @@ def local_report(
 ) -> LocalReport:
     """Dimension of the quotient by (gens) + all monomials of degree >= N,
     certified when the standard monomial counts of the cut ideals agree at
-    consecutive N (:func:`stable_tower`, with every variable of degree 1)."""
+    consecutive N (:func:`stable_tower`, with every variable of degree 1).
+    Each cut ideal's basis comes from :func:`cut_groebner`, the degree cut
+    of :func:`groebner`, so no cut monomial enters Buchberger's loop as a
+    generator."""
     if maxN < 2:
         raise ValueError(f"the maximum cutoff must be >= 2, got {maxN}")
 

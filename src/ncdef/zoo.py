@@ -53,13 +53,18 @@ def laufer_lambda(
     each a rational (a Fraction, an int or a string such as "1/3") or the
     token "sym"; ``None`` means every entry "sym".  Checks n >= 1 first, then
     each entry, then the count, and returns the entries as Fractions and
-    "sym".  Every error is a ValueError; those about lam name lambda."""
+    "sym".  A float is refused: its exact binary value is rarely the decimal
+    it was written as.  Every error is a ValueError; those about lam name
+    lambda."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if lam is None:
         return ["sym"] * (2 * n)
     out: list[LambdaEntry] = []
     for v in lam:
+        if isinstance(v, float):
+            raise ValueError(f"lambda entry {v!r} is a float; pass a Fraction, "
+                             "an int or a string such as '1/10'")
         try:
             out.append("sym" if v == "sym" else Fraction(v))
         except ZeroDivisionError:

@@ -293,8 +293,9 @@ def test_local_report_criteria_prune_pairs(monkeypatch):
 def test_monomial_pairs_are_never_reduced(monkeypatch):
     """Two monomials have S-polynomial zero, so groebner queues no pair of
     them: on a monomial ideal its only normal forms are those of the tail
-    inter-reduction, one per basis element, and the cut monomials of the f0
-    tower cost no reductions."""
+    inter-reduction, one per basis element.  The f0 tower never builds its
+    cut monomials, and reduces only the S-polynomials with them that the M
+    criterion keeps."""
     inputs = []
     inner = commpoly.normal_form
 

@@ -16,6 +16,7 @@ from ncdef.zoo import (
     cyclic_derivative,
     invariant_table,
     karmazyn_contraction_presentation,
+    laufer_lambda,
     laufer_presentation,
     laufer_specialization_check,
     length2_central_elements,
@@ -42,6 +43,18 @@ def test_laufer_presentation_symbolic_parameters():
     p = laufer_presentation(1, ["sym", "sym"])
     assert "l1" in p.gens.names and "l2" in p.gens.names
     assert p.gens.central[p.gens.index("l1")]
+
+
+def test_laufer_lambda_refuses_a_float():
+    """0.1 is not 1/10 in binary, so a float entry is an error naming
+    lambda, not a silently different specialization."""
+    with pytest.raises(ValueError, match=r"^lambda entry 0\.1 is a float; pass a "
+                                         r"Fraction, an int or a string"):
+        laufer_lambda(1, [0.1, 0])
+    with pytest.raises(ValueError, match="lambda entry 0.0 is a float"):
+        laufer_presentation(1, [0, 0.0])
+    assert laufer_lambda(1, ["1/10", 0]) == [Fraction(1, 10), 0]
+    assert laufer_lambda(1, [Fraction(1, 10), "sym"]) == [Fraction(1, 10), "sym"]
 
 
 def test_standard_lambda():
