@@ -2,9 +2,12 @@
 
 :class:`Poly`, a sparse map from monomials to nonzero Fractions, is also the
 core of :class:`~ncdef.freealg.NcPoly`; :class:`CommPoly` takes exponent
-tuples as monomials, and :func:`substitute` serves both.  The monomial order is graded (optionally weighted) lexicographic with ties broken
-by variable declaration order.  Includes normal forms, quotient monomial
-bases, and local (truncation-stabilized) quotient reports; :func:`stable_tower`
+tuples as monomials, and :func:`substitute` serves both.  Ideals are
+ordered by graded (optionally weighted) lexicographic order,
+:class:`GrlexOrder`; an ideal cut at total degree N is ordered by the local
+degree order :class:`LocalOrder`, which carries N, so that a polynomial's lead
+is its lowest-degree term.  Includes normal forms, quotient monomial bases,
+and local (truncation-stabilized) quotient reports; :func:`stable_tower`
 certifies a truncated tower for this engine and for the rewriting engine.
 
 :func:`groebner` discards useless S-pairs before reducing them with the
@@ -12,8 +15,8 @@ Gebauer-Moeller criteria (the B, M and F chain criteria and the coprime-lead
 criterion), never queues a pair of two monomials, whose S-polynomial is zero,
 and reduces the pair of lowest sugar degree, then smallest lcm, first.  Its
 normal forms divide only by the live elements, those whose lead no later
-lead divides.  Given a degree cut N it also holds every monomial of total
-degree N, without building them as generators (:func:`cut_groebner`).  A
+lead divides.  Under a :class:`LocalOrder` with cut N it also holds every
+monomial of total degree N, without building them as generators.  A
 :class:`CommGB` is monic and carries one list of its elements' lead
 exponents, so normal forms and quotient bases neither recompute a lead nor
 divide by its coefficient.
@@ -24,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations_with_replacement
 from operator import add, le, mul, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -79,6 +81,8 @@ class GrlexOrder:
     exponent tuple, so an earlier variable with a higher exponent wins.
     """
 
+    cut = None  # no degree cut: every monomial is kept
+
     def __init__(self, vars: VarSet, weights: Optional[Sequence[int]] = None):
         if weights is not None:
             weights = tuple(weights)
@@ -94,6 +98,25 @@ class GrlexOrder:
 
     def key(self, exps: Exponents):
         return (self.degree(exps), exps)
+
+
+class LocalOrder(GrlexOrder):
+    """Local degree order of the ideals cut at total degree ``cut``.
+
+    Keys ascend: lower total degree is larger, ties broken by the
+    :class:`GrlexOrder` key, so a polynomial's lead is a term of its lowest
+    total degree.  Lower degree first is a well-order only on the finitely
+    many monomials of total degree below the cut, so the order carries it:
+    normal forms drop every term of total degree >= ``cut``.
+    """
+
+    def __init__(self, vars: VarSet, weights: Optional[Sequence[int]] = None,
+                 *, cut: int):
+        super().__init__(vars, weights)
+        self.cut = cut
+
+    def key(self, exps: Exponents):
+        return (-sum(exps), self.degree(exps), exps)
 
 
 def _exps_mul(a: Exponents, b: Exponents) -> Exponents:
@@ -348,13 +371,12 @@ class CommGB:
 
     ``reducers`` pairs each element :func:`normal_form` divides by with its
     lead exponents: every element here, but only the live ones while
-    :func:`groebner` runs.  A ``cut`` N stands for every monomial of total
-    degree N, which the basis then holds without listing them: normal forms
-    drop each term of total degree >= N."""
+    :func:`groebner` runs.  The ``cut`` N of a :class:`LocalOrder` stands for
+    every monomial of total degree N, which the basis then holds without
+    listing them all: normal forms drop each term of total degree >= N."""
 
     basis: list[CommPoly]
     order: GrlexOrder
-    cut: Optional[int] = field(default=None, compare=False)
     leads: list[Exponents] = field(init=False, repr=False, compare=False)
     reducers: list[tuple[CommPoly, Exponents]] = field(
         init=False, repr=False, compare=False
@@ -369,16 +391,20 @@ class CommGB:
 
 
 def normal_form(f: CommPoly, gb: CommGB) -> CommPoly:
+    """Remainder of f under ``gb``, with no term that a lead divides.  Each
+    step replaces the largest term by terms below it, so under a
+    :class:`LocalOrder` every term it adds has a degree at least its own,
+    and the finitely many terms below the cut bound the steps."""
     key = gb.order.key
     reducers = gb.reducers
-    cut = gb.cut
+    cut = gb.order.cut
     rem: dict[Exponents, Fraction] = {}
     work = dict(f.terms)
     while work:
         e = max(work, key=key)
-        c = work.pop(e)
         if cut is not None and sum(e) >= cut:
-            continue
+            break  # it is of the lowest degree left, so every term is cut
+        c = work.pop(e)
         for g, ge in reducers:
             if _exps_divides(ge, e):
                 qe = _exps_div(e, ge)
@@ -410,11 +436,10 @@ def _spoly(
     return CommPoly(f.vars, terms)
 
 
-def groebner(
-    gens: Sequence[CommPoly], order: GrlexOrder, *, cut: Optional[int] = None
-) -> CommGB:
+def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
     """Reduced monic Groebner basis of the ideal generated by ``gens``, and
-    by every monomial of total degree ``cut`` when one is given.
+    by every monomial of total degree N when ``order`` is a
+    :class:`LocalOrder` with cut N.
 
     Buchberger's algorithm with the Gebauer-Moeller update.  When an element
     h is added, its pairs with the earlier elements are pruned by the M and F
@@ -432,29 +457,21 @@ def groebner(
     one, so the reducible terms are the same.  On a homogeneous ideal the
     sugar degree is the degree of the lcm.
 
-    The cut monomials of total degree N = ``cut`` are basis elements that
-    are never built; the chain criterion stands in for their pairs.  Normal
-    forms drop every term of total degree >= N, a multiple of a cut monomial,
-    so every element h has a lead e with |e| < N.  A pair whose lcm L has
-    |L| >= N is not queued: L is a multiple of e * x^b for some |b| = N - |e|,
-    a cut monomial, and the chain through it needs only the pair of h with
-    e * x^b and a pair of two monomials, whose S-polynomial is zero.  So h
-    takes one cut item per such x^b, the S-polynomial x^b * (h - lead(h)) of
-    h with e * x^b, unless no term of h has total degree below |e|: then
-    every term of every cut item has degree >= N, and h takes none (a
-    single-term h among them).  A cut item goes by the M criterion when the
-    lcm of e and a live lead properly divides e * x^b: the chain then runs
-    through that element, whose own cut item at e * x^b is queued or goes
-    the same way through an earlier element.  The B criterion never removes
-    a cut item, as the chains above rest on them.  The basis of the last
-    step lists the cut monomials that no lead divides.
+    Under a cut N the monomials of total degree N are basis elements that
+    are never built.  Generators and normal forms drop every term of total
+    degree >= N, and the lead of an element is a term of its lowest degree.
+    A pair whose lcm L has |L| >= N is not queued: for either element h and
+    x^a * lead(h) = L, every term of x^a * h has degree >= |L|, so the
+    S-polynomial lies in m^N, as does that of an element with a cut
+    monomial.  The basis of the last step lists the cut monomials that no
+    lead divides.
     """
-    gb = CommGB([], order, cut)
+    cut = order.cut
+    gb = CommGB([], order)
     leads = gb.leads  # lead exponents, parallel to gb.basis
     sugars: list[int] = []  # sugar degrees, parallel to gb.basis
     live: list[int] = []  # elements that take pairs with later ones
-    # heap of (sugar, order.key(lcm), i, j, lcm); j = -1 marks a cut item
-    queue: list[tuple] = []
+    queue: list[tuple] = []  # heap of (sugar, order.key(lcm), i, j, lcm)
 
     def add(h: CommPoly, sugar: int) -> None:
         e, c = h.lead(order)
@@ -476,8 +493,7 @@ def groebner(
                 kept.append(i)
         queue[:] = [
             p for p in queue
-            if p[3] < 0
-            or not _exps_divides(e, p[4])
+            if not _exps_divides(e, p[4])
             or _exps_lcm(leads[p[2]], e) == p[4]
             or _exps_lcm(leads[p[3]], e) == p[4]
         ]
@@ -488,17 +504,6 @@ def groebner(
                     sugars[i] - order.degree(leads[i]), sugar - order.degree(e)
                 )
                 heappush(queue, (s, order.key(lcms[i]), i, k, lcms[i]))
-        if cut is not None and any(sum(t) < sum(e) for t in h.terms):
-            # cut items x^b, |b| = rest; the M criterion drops x^b when
-            # lcm(e, lead_i) properly divides e * x^b, that is when
-            # lcm / e, of degree below rest, divides x^b
-            rest = cut - sum(e)
-            witnesses = [d for d in (_exps_div(lcms[i], e) for i in live)
-                         if sum(d) < rest]
-            for b in _standard_levels(len(e), witnesses, rest)[rest]:
-                lcm = _exps_mul(e, b)
-                s = order.degree(lcm) + sugar - order.degree(e)
-                heappush(queue, (s, order.key(lcm), k, -1, lcm))
         live[:] = [i for i in live if not _exps_divides(e, leads[i])] + [k]
         gb.reducers = [(gb.basis[i], leads[i]) for i in live]
 
@@ -511,11 +516,8 @@ def groebner(
         raise ValueError("no nonzero generators")
     while queue:
         sugar, _, i, j, lcm = heappop(queue)
-        if j < 0:
-            g, ge = CommPoly.monomial(order.vars, lcm), lcm
-        else:
-            g, ge = gb.basis[j], leads[j]
-        rem = normal_form(_spoly(gb.basis[i], leads[i], g, ge, lcm), gb)
+        spoly = _spoly(gb.basis[i], leads[i], gb.basis[j], leads[j], lcm)
+        rem = normal_form(spoly, gb)
         if not rem.is_zero():
             add(rem, sugar)
     # inter-reduce to the unique reduced basis.  Every element left out of
@@ -523,12 +525,12 @@ def groebner(
     tails = CommGB(
         [gb.basis[k] for k in live
          if not any(m != k and _exps_divides(leads[m], leads[k]) for m in live)],
-        order, cut,
+        order,
     )
     reduced = {}
     for g, e in zip(tails.basis, tails.leads):
-        # lead(g) divides none of its own tail terms, which lie below it, so
-        # reducing the tail by all of ``tails`` reduces it by the others
+        # the tail lies below e, and its normal form differs from it by an
+        # element of the ideal, so e + NF(tail) is the element with lead e
         tail = CommPoly(g.vars, {t: v for t, v in g.terms.items() if t != e})
         reduced[e] = CommPoly(g.vars, {e: 1, **normal_form(tail, tails).terms})
     if cut is not None:
@@ -579,24 +581,6 @@ def quotient_basis(gb: CommGB, bound: int) -> QuotientBasis:
     return QuotientBasis(monomials, finite, len(monomials))
 
 
-def monomials_of_degree(vars: VarSet, deg: int) -> list[Exponents]:
-    """Every monomial of total degree ``deg``, sorted."""
-    n = len(vars)
-    return sorted(
-        tuple(map(c.count, range(n)))
-        for c in combinations_with_replacement(range(n), deg)
-    )
-
-
-def cut_groebner(gens: Sequence[CommPoly], order: GrlexOrder, N: int) -> CommGB:
-    """Reduced basis of (gens) + every monomial of total degree N, whose
-    quotient is that of (gens) truncated below degree N: :func:`groebner`
-    with the degree cut N, which never builds the cut monomials as
-    generators and lists in the basis only those that no other lead
-    divides."""
-    return groebner(gens, order, cut=N)
-
-
 def graded_dims(degrees: Iterable[int]) -> list[int]:
     """Tally of basis elements by degree, from degree 0 to the largest one."""
     graded: dict[int, int] = {}
@@ -642,8 +626,12 @@ def stable_tower(cuts: Iterable[int], basis_at: Callable[[int], tuple]):
 @dataclass
 class LocalReport:
     """Truncation-stabilized quotient data for an ideal plus all degree-N
-    monomials; ``basis`` and ``gb``, the reduced basis of the cut ideal, are
-    those of the last cut N run (``certified_at`` + 1 if finite, else maxN)."""
+    monomials; ``basis`` and ``gb``, the reduced basis of the cut ideal under
+    its :class:`LocalOrder`, are those of the last cut N run
+    (``certified_at`` + 1 if finite, else maxN).  ``graded_dims`` counts the
+    standard monomials by total degree: under a local degree order that is
+    the Hilbert-Samuel function, dim m^d / (m^(d+1) + I), and its prefix sums
+    are the dimensions of the cut quotients."""
 
     status: str  # "finite" | "not-finite"
     dim: int
@@ -659,14 +647,14 @@ def local_report(
     """Dimension of the quotient by (gens) + all monomials of degree >= N,
     certified when the standard monomial counts of the cut ideals agree at
     consecutive N (:func:`stable_tower`, with every variable of degree 1).
-    Each cut ideal's basis comes from :func:`cut_groebner`, the degree cut
-    of :func:`groebner`, so no cut monomial enters Buchberger's loop as a
-    generator."""
+    Each cut ideal's basis is :func:`groebner`'s under the :class:`LocalOrder`
+    of ``order``'s variables and weights with cut N, so no cut monomial enters
+    Buchberger's loop as a generator."""
     if maxN < 2:
         raise ValueError(f"the maximum cutoff must be >= 2, got {maxN}")
 
     def basis_at(N: int) -> tuple[list[Exponents], CommGB]:
-        gb = cut_groebner(gens, order, N)
+        gb = groebner(gens, LocalOrder(order.vars, order.weights, cut=N))
         return quotient_basis(gb, N).monomials, gb
 
     certified_at, _, basis, gb = stable_tower(range(2, maxN + 1), basis_at)

@@ -8,12 +8,24 @@ by the order's degree, computed here by ``degree``: the length under
 ``deglex``, the weight sum under ``wdeglex``.  ``rescan_reduce`` is
 the reduction kernel without any cache, for checking ``nc_reduce``; it divides
 words with its own ``divide``, a letter-by-letter scan that shares no code
-with the engine's division search.
+with the engine's division search.  ``monomials_of_degree`` lists the
+monomials of one total degree, for the commutative engine's cut ideals with
+every cut monomial written out as a generator.
 """
 
 from collections import Counter
+from itertools import combinations_with_replacement
 
 from ncdef.freealg import NcPoly, word_mul, word_split
+
+
+def monomials_of_degree(vars, deg):
+    """Every exponent tuple over ``vars`` of total degree ``deg``, sorted."""
+    n = len(vars)
+    return sorted(
+        tuple(map(c.count, range(n)))
+        for c in combinations_with_replacement(range(n), deg)
+    )
 
 
 def divide(gens, lead, w):

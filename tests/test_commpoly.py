@@ -13,11 +13,11 @@ from ncdef.commpoly import (
     CommPoly,
     GrlexOrder,
     InternalConsistencyError,
+    LocalOrder,
     VarSetError,
     divexact,
     groebner,
     local_report,
-    monomials_of_degree,
     normal_form,
     partials,
     poly_str,
@@ -26,6 +26,8 @@ from ncdef.commpoly import (
     substitute,
     varset,
 )
+from ncdef.exprparse import presentation_parse
+from oracle import brute_force_dim, monomials_of_degree
 
 XYZW = varset("x", "y", "z", "w")
 
@@ -266,12 +268,38 @@ def test_local_report_keeps_the_reduced_basis_of_its_last_cut():
     a, b = CommPoly.variable(v2, "x"), CommPoly.variable(v2, "y")
     gens = [a * a - b ** 3, a * b]
     rep = local_report(gens, GrlexOrder(v2), 12)
-    cut = commpoly.cut_groebner(gens, GrlexOrder(v2), rep.certified_at + 1)
+    cut = groebner(gens, LocalOrder(v2, cut=rep.certified_at + 1))
     assert rep.gb.basis == cut.basis
     assert rep.basis == quotient_basis(cut, rep.certified_at + 1).monomials
     open_rep = local_report([a * a - b ** 3], GrlexOrder(v2), 7)
-    assert open_rep.gb.basis == commpoly.cut_groebner(
-        [a * a - b ** 3], GrlexOrder(v2), 7).basis
+    assert open_rep.gb.basis == groebner(
+        [a * a - b ** 3], LocalOrder(v2, cut=7)).basis
+
+
+def test_local_report_graded_dims_are_the_hilbert_samuel_function():
+    """Under the local order the standard monomials of degree d count
+    m^d / (m^(d+1) + I), so the prefix sums of ``graded_dims`` are the
+    dimensions of k[x]/(I + m^N) for N = 1, 2, ..., which no order enters;
+    the brute-force oracle computes them with every letter central."""
+    jac = partials(_f0(1))
+    rep = local_report(jac, GrlexOrder(XYZW), 20)
+    p = presentation_parse(
+        "generators: x y z w\ncentral: x y z w\nrelations: "
+        + " ; ".join(poly_str(g) for g in jac) + "\n")
+    sums = list(itertools.accumulate(rep.graded_dims))
+    assert sums == [1, 4, 7, 9, 10, 11]
+    assert sums == [brute_force_dim(p, N) for N in range(1, len(sums) + 1)]
+
+
+def test_local_report_basis_drops_every_monomial_past_the_cut():
+    """The cut is carried by the order of ``gb``, so its normal forms drop
+    every monomial of total degree N or more, and not only those of N."""
+    rep = local_report(partials(_f0(1)), GrlexOrder(XYZW), 20)
+    N = rep.gb.order.cut
+    assert N == rep.certified_at + 1
+    for d in range(N, N + 3):
+        for e in monomials_of_degree(XYZW, d):
+            assert normal_form(CommPoly.monomial(XYZW, e), rep.gb).is_zero()
 
 
 def test_local_report_criteria_prune_pairs(monkeypatch):
@@ -294,8 +322,7 @@ def test_monomial_pairs_are_never_reduced(monkeypatch):
     """Two monomials have S-polynomial zero, so groebner queues no pair of
     them: on a monomial ideal its only normal forms are those of the tail
     inter-reduction, one per basis element.  The f0 tower never builds its
-    cut monomials, and reduces only the S-polynomials with them that the M
-    criterion keeps."""
+    cut monomials and queues no pair with them."""
     inputs = []
     inner = commpoly.normal_form
 

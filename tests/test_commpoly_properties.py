@@ -4,9 +4,12 @@ is the guard for weighted orders).  Generators may be pure monomials, and an
 ideal may carry every monomial of one degree, so pairs of two monomials,
 which are never reduced, are exercised.  A pair discarded by a wrong criterion
 shows up as an S-polynomial that does not reduce to zero, or as a basis
-that depends on the order of the generators.  The degree cut of
-``cut_groebner`` is checked against the cut ideal with every monomial of the
-cut degree listed as a generator."""
+that depends on the order of the generators.  The degree cut of a
+``LocalOrder`` is checked against the grlex basis of the cut ideal with every
+monomial of the cut degree listed as a generator: the two must generate the
+same ideal.  The local order itself cannot serve as that oracle without its
+cut, since its normal forms need not terminate there: -2*x*y^2 - 2*y leads
+with y, and reducing y*m by it gives x*y^2*m, which y divides again."""
 
 from fractions import Fraction
 
@@ -18,12 +21,15 @@ from hypothesis import given, settings, strategies as st
 from ncdef.commpoly import (
     CommPoly,
     GrlexOrder,
-    cut_groebner,
+    LocalOrder,
     groebner,
-    monomials_of_degree,
     normal_form,
+    poly_str,
+    quotient_basis,
     varset,
 )
+from ncdef.exprparse import presentation_parse
+from oracle import brute_force_dim, monomials_of_degree
 
 
 @st.composite
@@ -36,7 +42,7 @@ def ideals(draw):
     term = st.dictionaries(monomial, st.just(1), min_size=1, max_size=1)
     polys = st.dictionaries(monomial, coeff, min_size=1, max_size=3) | term
     gens = [CommPoly(vars, t) for t in draw(st.lists(polys, min_size=1, max_size=3))]
-    # every monomial of one degree, as local_report's cut ideals carry
+    # every monomial of one degree, listed as generators
     cut = draw(st.none() | st.integers(2, 4))
     if cut is not None:
         gens += [CommPoly.monomial(vars, e) for e in monomials_of_degree(vars, cut)]
@@ -55,8 +61,10 @@ def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def _assert_reduced_basis_of(gb, gens, order):
-    """gb is the monic reduced Groebner basis of the ideal of gens."""
+def _assert_reduced_basis_of(gb, gens):
+    """gb is the monic reduced Groebner basis of the ideal of gens under
+    ``gb.order``."""
+    order = gb.order
     leads = [g.lead(order) for g in gb.basis]
     assert gb.leads == [e for e, _ in leads]
     # monic and reduced: no term of an element is divisible by another lead
@@ -80,7 +88,7 @@ def _assert_reduced_basis_of(gb, gens, order):
 def test_groebner_is_a_reduced_basis_of_the_ideal(ideal, rnd):
     gens, order = ideal
     gb = groebner(gens, order)
-    _assert_reduced_basis_of(gb, gens, order)
+    _assert_reduced_basis_of(gb, gens)
     # so it depends on the ideal only, not on how the generators are listed
     shuffled = gens + [g.scale(Fraction(rnd.randint(1, 5), 2)) for g in gens[:2]]
     rnd.shuffle(shuffled)
@@ -92,6 +100,19 @@ def _cut_ideal(gens, vars, N):
     return list(gens) + [CommPoly.monomial(vars, e) for e in monomials_of_degree(vars, N)]
 
 
+def _assert_cut_basis_of(gb, gens):
+    """gb is the reduced basis under its local order of gens and every
+    monomial of total degree ``gb.order.cut``, and generates the same ideal
+    as the grlex basis with those monomials listed: each basis reduces the
+    other's elements to zero."""
+    order = gb.order
+    listed = _cut_ideal(gens, order.vars, order.cut)
+    _assert_reduced_basis_of(gb, listed)
+    grlex = groebner(listed, GrlexOrder(order.vars, order.weights))
+    assert all(normal_form(g, gb).is_zero() for g in grlex.basis)
+    assert all(normal_form(g, grlex).is_zero() for g in gb.basis)
+
+
 @st.composite
 def cut_ideals(draw):
     nvars = draw(st.integers(1, 4))
@@ -101,19 +122,18 @@ def cut_ideals(draw):
     coeff = st.integers(-3, 3).filter(bool)
     polys = st.dictionaries(monomial, coeff, min_size=1, max_size=3)
     gens = [CommPoly(vars, t) for t in draw(st.lists(polys, min_size=1, max_size=3))]
-    return gens, GrlexOrder(vars, weights), draw(st.integers(1, 7))
+    return gens, LocalOrder(vars, weights, cut=draw(st.integers(1, 7)))
 
 
-# The oracle itself runs for minutes on about one ideal in 3,000 of these
+# The grlex oracle runs for minutes on about one ideal in 3,000 of these
 # (one whose generators make a unit modulo m^7), so the examples are fixed.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(cut_ideals())
 def test_degree_cut_matches_the_cut_monomials_as_generators(ideal):
-    """The degree cut, which never builds the cut monomials, gives the
-    reduced basis of the ideal with all of them listed."""
-    gens, order, N = ideal
-    expected = groebner(_cut_ideal(gens, order.vars, N), order)
-    assert cut_groebner(gens, order, N).basis == expected.basis
+    """The degree cut, which never builds the cut monomials, gives a reduced
+    basis of the ideal with all of them listed."""
+    gens, order = ideal
+    _assert_cut_basis_of(groebner(gens, order), gens)
 
 
 @pytest.mark.parametrize("weights", [None, (2, 1)])
@@ -123,7 +143,7 @@ def test_degree_cut_of_generators_at_or_above_the_cut(weights):
     vars = varset("x", "y")
     x, y = (CommPoly.variable(vars, n) for n in vars.names)
     gens = [x ** 2 * y - y ** 3, x ** 4, CommPoly.zero(vars)]
-    gb = cut_groebner(gens, GrlexOrder(vars, weights), 3)
+    gb = groebner(gens, LocalOrder(vars, weights, cut=3))
     assert gb.basis == [CommPoly.monomial(vars, e)
                         for e in monomials_of_degree(vars, 3)]
 
@@ -132,16 +152,16 @@ def test_degree_cut_one():
     """At N = 1 the cut is the maximal ideal m = (x, y): a generator with a
     constant term makes the whole ring, and any other leaves m."""
     vars = varset("x", "y")
-    order = GrlexOrder(vars)
+    order = LocalOrder(vars, cut=1)
     x, y = (CommPoly.variable(vars, n) for n in vars.names)
     for f, leads in [
         (x * y - x, [(0, 1), (1, 0)]),
         (x * x + y.scale(3), [(0, 1), (1, 0)]),
         (x + CommPoly.const(vars, 1), [(0, 0)]),
     ]:
-        gb = cut_groebner([f], order, 1)
+        gb = groebner([f], order)
         assert gb.leads == leads
-        assert gb.basis == groebner(_cut_ideal([f], vars, 1), order).basis
+        _assert_cut_basis_of(gb, [f])
 
 
 def test_degree_cut_worst_case_is_a_reduced_basis():
@@ -150,7 +170,7 @@ def test_degree_cut_worst_case_is_a_reduced_basis():
     directly: it holds every generator and every degree-7 monomial, its
     S-polynomials reduce to zero, and it is monic and reduced."""
     vars = varset("x", "y", "z")
-    order = GrlexOrder(vars, (3, 2, 3))
+    order = LocalOrder(vars, (3, 2, 3), cut=7)
 
     def m(c, e):
         return CommPoly.monomial(vars, e, c)
@@ -165,5 +185,36 @@ def test_degree_cut_worst_case_is_a_reduced_basis():
         m(-3, (2, 3, 1)) + m(1, (0, 0, 1)) - m(1, (2, 2, 0))
         + m(Fraction(5, 2), (1, 0, 2)),
     ]
-    gb = cut_groebner(gens, order, 7)
-    _assert_reduced_basis_of(gb, _cut_ideal(gens, vars, 7), order)
+    gb = groebner(gens, order)
+    _assert_reduced_basis_of(gb, _cut_ideal(gens, vars, 7))
+
+
+def test_degree_cut_of_a_coefficient_swell_ideal():
+    """A plain cut-7 ideal on which grlex swells coefficients: with the cut
+    monomials listed its basis takes seconds, and with the degree cut more
+    than 30 s.  Under the local order a generator leads with its
+    lowest-degree term, so reductions only raise degree towards the cut.
+    Its dim 4 is the brute-force oracle's, which uses no order."""
+    vars = varset("x", "y", "z")
+
+    def m(c, e):
+        return CommPoly.monomial(vars, e, c)
+
+    five3 = Fraction(5, 3)
+    gens = [
+        m(2, (3, 2, 2)) + m(five3, (3, 2, 1)) - m(1, (1, 3, 2)) + m(five3, (2, 1, 0)),
+        m(five3, (1, 3, 1)) + m(five3, (2, 0, 1)) + m(Fraction(1, 2), (0, 0, 2))
+        + m(2, (1, 0, 0)),
+        m(Fraction(1, 2), (1, 2, 0)) - m(1, (0, 0, 2)) - m(3, (0, 1, 0)),
+        m(-1, (3, 3, 2)) + m(1, (1, 1, 1)) - m(1, (0, 2, 1)) + m(five3, (2, 0, 0)),
+    ]
+    gb = groebner(gens, LocalOrder(vars, cut=7))
+    assert gb.basis == [
+        m(1, (0, 0, 4)),
+        m(1, (0, 1, 0)) + m(Fraction(1, 3), (0, 0, 2)),
+        m(1, (1, 0, 0)) + m(Fraction(1, 4), (0, 0, 2)),
+    ]
+    assert quotient_basis(gb, 7).monomials == [(0, 0, k) for k in range(4)]
+    p = presentation_parse("generators: x y z\ncentral: x y z\nrelations: "
+                           + " ; ".join(poly_str(g) for g in gens) + "\n")
+    assert brute_force_dim(p, 7) == 4

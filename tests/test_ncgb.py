@@ -381,9 +381,10 @@ ALL_CENTRAL = {
 def test_both_engines_certify_an_all_central_presentation_alike(name):
     """With every generator central the rewriting engine computes a
     commutative quotient, so its tower and commutative local_report's must
-    certify at the same cut with the same dimension.  The bases are not
-    compared: rules lead with the lowest-degree term and grlex with the
-    highest, so on an inhomogeneous ideal the standard monomials differ."""
+    certify at the same cut with the same dimension.  Both order monomials
+    by lowest degree first, then by exponents (the counts of the central
+    letters), so the standard monomials of one ideal, and so the graded
+    dims, are the same."""
     names, *rels = ALL_CENTRAL[name].split(" ; ")
     p = presentation_parse(
         f"generators: {names}\ncentral: {names}\nrelations: {' ; '.join(rels)}\n")
@@ -393,6 +394,9 @@ def test_both_engines_certify_an_all_central_presentation_alike(name):
     assert (rep.status, len(rep.basis), rep.certified_at) == (
         crep.status, crep.dim, crep.certified_at)
     assert rep.dim == (crep.dim if crep.status == "finite" else None)
+    n = len(p.gens.names)
+    assert {tuple(map(w.count, range(n))) for w in rep.basis} == set(crep.basis)
+    assert rep.graded_dims == crep.graded_dims
 
 
 def test_free_central_parameter_rejected():
