@@ -19,7 +19,10 @@ lead divides.  Under a :class:`LocalOrder` with cut N it also holds every
 monomial of total degree N, without building them as generators.  A
 :class:`CommGB` is monic and carries one list of its elements' lead
 exponents, so normal forms and quotient bases neither recompute a lead nor
-divide by its coefficient.
+divide by its coefficient.  Normal forms are fraction-free: they reduce
+over the integers, by each element cleared of denominators once, under one
+running scale, take the largest pending term from a heap, and turn each
+term of the result into its exact ``Fraction`` once.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, le, mul, sub
+from math import gcd, lcm
+from operator import add, le, mul, neg, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 Exponents = tuple[int, ...]
@@ -99,6 +103,10 @@ class GrlexOrder:
     def key(self, exps: Exponents):
         return (self.degree(exps), exps)
 
+    def heap_key(self, exps: Exponents):
+        """The key negated: a min-heap of these pops the largest first."""
+        return (-self.degree(exps), tuple(map(neg, exps)))
+
 
 class LocalOrder(GrlexOrder):
     """Local degree order of the ideals cut at total degree ``cut``.
@@ -117,6 +125,9 @@ class LocalOrder(GrlexOrder):
 
     def key(self, exps: Exponents):
         return (-sum(exps), self.degree(exps), exps)
+
+    def heap_key(self, exps: Exponents):
+        return (sum(exps), -self.degree(exps), tuple(map(neg, exps)))
 
 
 def _exps_mul(a: Exponents, b: Exponents) -> Exponents:
@@ -369,16 +380,18 @@ class CommGB:
     """Monic polynomials under a monomial order, with the lead exponents of
     each one in ``leads``; a non-monic element raises ``ValueError``.
 
-    ``reducers`` pairs each element :func:`normal_form` divides by with its
-    lead exponents: every element here, but only the live ones while
-    :func:`groebner` runs.  The ``cut`` N of a :class:`LocalOrder` stands for
-    every monomial of total degree N, which the basis then holds without
-    listing them all: normal forms drop each term of total degree >= N."""
+    ``reducers`` holds each element :func:`normal_form` divides by over the
+    integers, as the triple (lead exponents, L, tail) that :func:`_reducer`
+    builds once per element: L times the element is L*x^lead + tail.  It
+    lists every element here, but only the live ones while :func:`groebner`
+    runs.  The ``cut`` N of a :class:`LocalOrder` stands for every monomial
+    of total degree N, which the basis then holds without listing them all:
+    normal forms drop each term of total degree >= N."""
 
     basis: list[CommPoly]
     order: GrlexOrder
     leads: list[Exponents] = field(init=False, repr=False, compare=False)
-    reducers: list[tuple[CommPoly, Exponents]] = field(
+    reducers: list[tuple[Exponents, int, list[tuple[Exponents, int]]]] = field(
         init=False, repr=False, compare=False
     )
 
@@ -387,40 +400,65 @@ class CommGB:
         if any(c != 1 for _, c in leads):
             raise ValueError("basis elements must be monic")
         self.leads = [e for e, _ in leads]
-        self.reducers = list(zip(self.basis, self.leads))
+        self.reducers = list(map(_reducer, self.basis, self.leads))
+
+
+def _reducer(g: CommPoly, e: Exponents):
+    """(e, L, tail) of the monic g with lead e: L is the lcm of g's
+    denominators and tail lists g's other terms times L, all integers."""
+    L = lcm(*(c.denominator for c in g.terms.values()))
+    return e, L, [(t, c.numerator * (L // c.denominator))
+                  for t, c in g.terms.items() if t != e]
 
 
 def normal_form(f: CommPoly, gb: CommGB) -> CommPoly:
     """Remainder of f under ``gb``, with no term that a lead divides.  Each
     step replaces the largest term by terms below it, so under a
     :class:`LocalOrder` every term it adds has a degree at least its own,
-    and the finitely many terms below the cut bound the steps."""
-    key = gb.order.key
-    reducers = gb.reducers
+    and the finitely many terms below the cut bound the steps.
+
+    The steps run over the integers: ``work`` holds f times ``scale``, at
+    first the lcm of f's denominators.  Reducing a term c*x^e by a reducer
+    (lead, L, tail) with g = gcd(L, c) and x^q * lead = x^e multiplies
+    ``work`` and ``scale`` by L/g and subtracts (c/g)*x^q*tail: that is L/g
+    times the step over Q, so each term is still exact over ``scale``.  A
+    term no lead divides is final, as no later step reaches it, and enters
+    the result at once as the reduced ``Fraction`` c/scale.  Pending terms
+    wait in a heap of ``order.heap_key``; a term that cancels stays there as
+    a zero."""
+    heap_key = gb.order.heap_key
     cut = gb.order.cut
     rem: dict[Exponents, Fraction] = {}
-    work = dict(f.terms)
-    while work:
-        e = max(work, key=key)
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    work = {e: c.numerator * (scale // c.denominator) for e, c in f.terms.items()}
+    heap = [(heap_key(e), e) for e in work]
+    heapify(heap)
+    while heap:
+        e = heappop(heap)[1]
+        c = work.pop(e)
+        if not c:
+            continue
         if cut is not None and sum(e) >= cut:
             break  # it is of the lowest degree left, so every term is cut
-        c = work.pop(e)
-        for g, ge in reducers:
+        for ge, L, tail in gb.reducers:
             if _exps_divides(ge, e):
+                g = gcd(L, c)
+                if g != L:
+                    a = L // g
+                    scale *= a
+                    work = {t: v * a for t, v in work.items()}
+                b = c // g
                 qe = _exps_div(e, ge)
-                for te, tc in g.terms.items():
+                for te, tc in tail:
                     ne = _exps_mul(qe, te)
-                    if ne == e:
-                        continue
-                    nv = work.get(ne)
-                    nv = -c * tc if nv is None else nv - c * tc
-                    if nv:
-                        work[ne] = nv
+                    if ne in work:
+                        work[ne] -= b * tc
                     else:
-                        del work[ne]
+                        work[ne] = -b * tc
+                        heappush(heap, (heap_key(ne), ne))
                 break
         else:
-            rem[e] = c
+            rem[e] = Fraction(c, scale)
     return CommPoly(f.vars, rem)
 
 
@@ -472,11 +510,13 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
     sugars: list[int] = []  # sugar degrees, parallel to gb.basis
     live: list[int] = []  # elements that take pairs with later ones
     queue: list[tuple] = []  # heap of (sugar, order.key(lcm), i, j, lcm)
+    reducers: list[tuple] = []  # integer reducers, parallel to gb.basis
 
     def add(h: CommPoly, sugar: int) -> None:
         e, c = h.lead(order)
         k = len(gb.basis)
         gb.basis.append(h.scale(1 / c))
+        reducers.append(_reducer(gb.basis[k], e))
         leads.append(e)
         sugars.append(sugar)
         lcms = {i: _exps_lcm(leads[i], e) for i in live}
@@ -505,7 +545,7 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
                 )
                 heappush(queue, (s, order.key(lcms[i]), i, k, lcms[i]))
         live[:] = [i for i in live if not _exps_divides(e, leads[i])] + [k]
-        gb.reducers = [(gb.basis[i], leads[i]) for i in live]
+        gb.reducers = [reducers[i] for i in live]
 
     for g in gens:
         if cut is not None:

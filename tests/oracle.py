@@ -10,12 +10,15 @@ the reduction kernel without any cache, for checking ``nc_reduce``; it divides
 words with its own ``divide``, a letter-by-letter scan that shares no code
 with the engine's division search.  ``monomials_of_degree`` lists the
 monomials of one total degree, for the commutative engine's cut ideals with
-every cut monomial written out as a generator.
+every cut monomial written out as a generator.  ``fraction_normal_form`` is
+the commutative reduction kernel in ``Fraction`` arithmetic, for checking the
+engine's integer kernel.
 """
 
 from collections import Counter
 from itertools import combinations_with_replacement
 
+from ncdef.commpoly import CommPoly
 from ncdef.freealg import NcPoly, word_mul, word_split
 
 
@@ -26,6 +29,37 @@ def monomials_of_degree(vars, deg):
         tuple(map(c.count, range(n)))
         for c in combinations_with_replacement(range(n), deg)
     )
+
+
+def fraction_normal_form(f, gb):
+    """Normal form of ``f`` under the finished ``CommGB`` ``gb``, step by
+    step in ``Fraction`` arithmetic: the largest term left, found by a scan
+    of every term, is divided by the first element whose lead divides it,
+    and under a cut the first term at or past it ends the reduction."""
+    key, cut = gb.order.key, gb.order.cut
+    rem = {}
+    work = dict(f.terms)
+    while work:
+        e = max(work, key=key)
+        if cut is not None and sum(e) >= cut:
+            break
+        c = work.pop(e)
+        for g, ge in zip(gb.basis, gb.leads):
+            if all(a <= b for a, b in zip(ge, e)):
+                q = tuple(a - b for a, b in zip(e, ge))
+                for te, tc in g.terms.items():
+                    ne = tuple(a + b for a, b in zip(q, te))
+                    if ne == e:
+                        continue
+                    nv = work.get(ne, 0) - c * tc
+                    if nv:
+                        work[ne] = nv
+                    else:
+                        del work[ne]
+                break
+        else:
+            rem[e] = c
+    return CommPoly(f.vars, rem)
 
 
 def divide(gens, lead, w):

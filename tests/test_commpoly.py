@@ -27,7 +27,7 @@ from ncdef.commpoly import (
     varset,
 )
 from ncdef.exprparse import presentation_parse
-from oracle import brute_force_dim, monomials_of_degree
+from oracle import brute_force_dim, fraction_normal_form, monomials_of_degree
 
 XYZW = varset("x", "y", "z", "w")
 
@@ -151,6 +151,39 @@ def test_basis_must_be_monic():
     with pytest.raises(ValueError, match="monic"):
         CommGB([x.scale(2)], order)
     assert CommGB([x, y * y - x], order).leads == [(1, 0, 0, 0), (0, 2, 0, 0)]
+
+
+def test_integer_kernel_scales_by_cleared_lead_coefficients():
+    """x - y/3 and y^2 - x/2 clear to lead coefficients 3 and 2, so reducing
+    x^2 scales the work at each of its four steps: x^2 -> x*y/3 -> y^2/9
+    -> x/18 -> y/54.  A coefficient that the lead coefficient divides needs
+    no scaling."""
+    vars = varset("x", "y")
+    x, y = (CommPoly.variable(vars, n) for n in vars.names)
+    gb = CommGB([x - y.scale(Fraction(1, 3)), y * y - x.scale(Fraction(1, 2))],
+                GrlexOrder(vars))
+    assert gb.reducers == [((1, 0), 3, [((0, 1), -1)]), ((0, 2), 2, [((1, 0), -1)])]
+    for f, nf in [(x * x, y.scale(Fraction(1, 54))), (x.scale(3), y),
+                  (x * y.scale(Fraction(5, 7)) + y, y.scale(Fraction(131, 126)))]:
+        assert normal_form(f, gb) == nf == fraction_normal_form(f, gb)
+        assert all(type(c) is Fraction for c in nf.terms.values())
+
+
+@pytest.mark.parametrize("cut", [None, 3])
+def test_integer_kernel_zero_reduced_and_cut_inputs(cut):
+    """The zero polynomial and a reduced one come back equal; under a cut a
+    polynomial whose every term is at or past the cut reduces to zero."""
+    x, y, z, w = _vars()
+    order = GrlexOrder(XYZW) if cut is None else LocalOrder(XYZW, cut=cut)
+    gb = groebner([x * x - y.scale(Fraction(2, 3)), y * z - w], order)
+    zero = CommPoly.zero(XYZW)
+    reduced = CommPoly.const(XYZW, Fraction(-1, 2)) + z.scale(Fraction(3, 4)) + x * z
+    assert normal_form(zero, gb) == zero
+    assert normal_form(reduced, gb) == reduced
+    past = (x ** 3).scale(Fraction(1, 2)) + x * y * w - (z ** 4).scale(Fraction(5, 3))
+    nf = normal_form(past, gb)
+    assert nf == fraction_normal_form(past, gb)
+    assert nf.is_zero() == (cut is not None)
 
 
 def test_quotient_basis_finite_and_infinite():

@@ -9,7 +9,9 @@ that depends on the order of the generators.  The degree cut of a
 monomial of the cut degree listed as a generator: the two must generate the
 same ideal.  The local order itself cannot serve as that oracle without its
 cut, since its normal forms need not terminate there: -2*x*y^2 - 2*y leads
-with y, and reducing y*m by it gives x*y^2*m, which y divides again."""
+with y, and reducing y*m by it gives x*y^2*m, which y divides again.  The
+integer reduction kernel is checked against the ``Fraction`` one in
+``tests/oracle.py`` on the bases of both kinds of order."""
 
 from fractions import Fraction
 
@@ -29,7 +31,7 @@ from ncdef.commpoly import (
     varset,
 )
 from ncdef.exprparse import presentation_parse
-from oracle import brute_force_dim, monomials_of_degree
+from oracle import brute_force_dim, fraction_normal_form, monomials_of_degree
 
 
 @st.composite
@@ -93,6 +95,42 @@ def test_groebner_is_a_reduced_basis_of_the_ideal(ideal, rnd):
     shuffled = gens + [g.scale(Fraction(rnd.randint(1, 5), 2)) for g in gens[:2]]
     rnd.shuffle(shuffled)
     assert groebner(shuffled, order).basis == gb.basis
+
+
+@st.composite
+def reductions(draw):
+    """A basis under plain or weighted grlex, or a local order cut at 2-7,
+    and polynomials whose every coefficient has a denominator above 1."""
+    nvars = draw(st.integers(2, 3))
+    vars = varset(*"xyz"[:nvars])
+    weights = draw(st.none() | st.tuples(*[st.integers(1, 3)] * nvars))
+    cut = draw(st.none() | st.integers(2, 7))
+    order = (GrlexOrder(vars, weights) if cut is None
+             else LocalOrder(vars, weights, cut=cut))
+    coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    # no constant term, which would make the unit ideal
+    monomial = st.tuples(*[st.integers(0, 2)] * nvars).filter(any)
+    gens = draw(st.lists(st.dictionaries(monomial, coeff, min_size=2, max_size=3),
+                         min_size=1, max_size=3))
+    rational = st.builds(Fraction, st.integers(-9, 9), st.integers(2, 12)).filter(
+        lambda q: q.denominator > 1)
+    fs = draw(st.lists(st.dictionaries(st.tuples(*[st.integers(0, 4)] * nvars),
+                                       rational, max_size=5),
+                       min_size=1, max_size=3))
+    return (groebner([CommPoly(vars, t) for t in gens], order),
+            [CommPoly(vars, t) for t in fs])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(reductions())
+def test_integer_kernel_matches_the_fraction_kernel(case):
+    """Reduction over the integers with one running scale gives the normal
+    form of Fraction arithmetic exactly, with Fraction coefficients."""
+    gb, fs = case
+    for f in fs:
+        nf = normal_form(f, gb)
+        assert nf == fraction_normal_form(f, gb)
+        assert all(type(c) is Fraction for c in nf.terms.values())
 
 
 def _cut_ideal(gens, vars, N):
