@@ -19,10 +19,10 @@ lead divides.  Under a :class:`LocalOrder` with cut N it also holds every
 monomial of total degree N, without building them as generators.  A
 :class:`CommGB` is monic and carries one list of its elements' lead
 exponents, so normal forms and quotient bases neither recompute a lead nor
-divide by its coefficient.  Normal forms are fraction-free: they reduce
-over the integers, by each element cleared of denominators once, under one
-running scale, take the largest pending term from a heap, and turn each
-term of the result into its exact ``Fraction`` once.
+divide by its coefficient.  Reduction is fraction-free: one integer kernel
+carries one running scale and takes pending terms from a heap, and
+Buchberger's loop stays in it throughout, so ``Fraction``s are built only
+for returned bases and normal forms.  A ``float`` coefficient is refused.
 """
 
 from __future__ import annotations
@@ -130,6 +130,15 @@ class LocalOrder(GrlexOrder):
         return (sum(exps), -self.degree(exps), tuple(map(neg, exps)))
 
 
+def rational(c) -> Fraction:
+    """c as a Fraction; a float, whose binary value is rarely the decimal it
+    was written as, raises ValueError."""
+    if isinstance(c, float):
+        raise ValueError(f"coefficient {c!r} is a float; pass a Fraction, "
+                         "an int or a string such as '1/10'")
+    return c if type(c) is Fraction else Fraction(c)
+
+
 def _exps_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(add, a, b))
 
@@ -159,7 +168,7 @@ class Poly:
 
     def __init__(self, ring: VarSet, terms: Mapping):
         self.ring = ring
-        self.terms = {m: c if type(c) is Fraction else Fraction(c)
+        self.terms = {m: c if type(c) is Fraction else rational(c)
                       for m, c in terms.items() if c}
 
     @classmethod
@@ -168,7 +177,7 @@ class Poly:
 
     @classmethod
     def const(cls, ring: VarSet, c):
-        return cls(ring, {cls._mono(ring, ()): Fraction(c)})
+        return cls(ring, {cls._mono(ring, ()): rational(c)})
 
     def _check(self, other: "Poly"):
         if self.ring != other.ring:
@@ -205,7 +214,7 @@ class Poly:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = rational(c)
         return type(self)(self.ring, {m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, n: int):
@@ -250,7 +259,7 @@ class CommPoly(Poly):
 
     @staticmethod
     def monomial(vars: VarSet, exps: Exponents, c=1) -> "CommPoly":
-        return CommPoly(vars, {tuple(exps): Fraction(c)})
+        return CommPoly(vars, {tuple(exps): rational(c)})
 
     def __mul__(self, other: "CommPoly") -> "CommPoly":
         self._check(other)
@@ -380,13 +389,12 @@ class CommGB:
     """Monic polynomials under a monomial order, with the lead exponents of
     each one in ``leads``; a non-monic element raises ``ValueError``.
 
-    ``reducers`` holds each element :func:`normal_form` divides by over the
-    integers, as the triple (lead exponents, L, tail) that :func:`_reducer`
-    builds once per element: L times the element is L*x^lead + tail.  It
-    lists every element here, but only the live ones while :func:`groebner`
-    runs.  The ``cut`` N of a :class:`LocalOrder` stands for every monomial
-    of total degree N, which the basis then holds without listing them all:
-    normal forms drop each term of total degree >= N."""
+    ``reducers`` holds each element once as the integer triple (lead
+    exponents, L, tail) of :func:`_reducer` that :func:`_reduce` divides by:
+    L times the element is L*x^lead + tail.  The ``cut`` N of a
+    :class:`LocalOrder` stands for every monomial of total degree N, which
+    the basis then holds without listing them all: normal forms drop each
+    term of total degree >= N."""
 
     basis: list[CommPoly]
     order: GrlexOrder
@@ -404,33 +412,56 @@ class CommGB:
 
 
 def _reducer(g: CommPoly, e: Exponents):
-    """(e, L, tail) of the monic g with lead e: L is the lcm of g's
-    denominators and tail lists g's other terms times L, all integers."""
-    L = lcm(*(c.denominator for c in g.terms.values()))
-    return e, L, [(t, c.numerator * (L // c.denominator))
-                  for t, c in g.terms.items() if t != e]
+    """(e, L, tail) of the monic multiple of g with lead e: L is the lcm of
+    its denominators and tail lists its other terms times L, all integers."""
+    return _primitive(e, _cleared(g)[0])
 
 
-def normal_form(f: CommPoly, gb: CommGB) -> CommPoly:
-    """Remainder of f under ``gb``, with no term that a lead divides.  Each
-    step replaces the largest term by terms below it, so under a
-    :class:`LocalOrder` every term it adds has a degree at least its own,
-    and the finitely many terms below the cut bound the steps.
+def _primitive(e: Exponents, work: Mapping[Exponents, int]):
+    """The reducer of the monic multiple h of the integer vector ``work``
+    with lead e: ``work`` over its content, signed so that L > 0.  For the
+    lcm L of h's denominators, L*h is that same primitive vector."""
+    g = gcd(*work.values()) * (1 if work[e] > 0 else -1)
+    return e, work[e] // g, [(t, c // g) for t, c in work.items() if t != e]
 
-    The steps run over the integers: ``work`` holds f times ``scale``, at
-    first the lcm of f's denominators.  Reducing a term c*x^e by a reducer
-    (lead, L, tail) with g = gcd(L, c) and x^q * lead = x^e multiplies
-    ``work`` and ``scale`` by L/g and subtracts (c/g)*x^q*tail: that is L/g
-    times the step over Q, so each term is still exact over ``scale``.  A
-    term no lead divides is final, as no later step reaches it, and enters
-    the result at once as the reduced ``Fraction`` c/scale.  Pending terms
-    wait in a heap of ``order.heap_key``; a term that cancels stays there as
-    a zero."""
-    heap_key = gb.order.heap_key
-    cut = gb.order.cut
-    rem: dict[Exponents, Fraction] = {}
+
+def _cleared(f: CommPoly) -> tuple[dict[Exponents, int], int]:
+    """(work, scale): f times ``scale``, the lcm of its denominators."""
     scale = lcm(*(c.denominator for c in f.terms.values()))
-    work = {e: c.numerator * (scale // c.denominator) for e, c in f.terms.items()}
+    return {e: c.numerator * (scale // c.denominator)
+            for e, c in f.terms.items()}, scale
+
+
+def _int_spoly(a, b, m: Exponents) -> tuple[dict[Exponents, int], int]:
+    """(work, scale) of the S-polynomial at m of the monic elements with the
+    reducers a and b: scale = lcm(La, Lb), and work is scale times it."""
+    (ae, La, atail), (be, Lb, btail) = a, b
+    scale = lcm(La, Lb)
+    ka, kb = scale // La, scale // Lb
+    qa, qb = _exps_div(m, ae), _exps_div(m, be)
+    work = {_exps_mul(qa, t): ka * c for t, c in atail}
+    for t, c in btail:
+        ne = _exps_mul(qb, t)
+        work[ne] = work[ne] - kb * c if ne in work else -kb * c
+    return work, scale
+
+
+def _reduce(work: dict, scale: int, reducers: Sequence, order: GrlexOrder):
+    """The integer kernel: (rem, scale) with rem/scale the remainder of
+    work/scale by ``reducers`` under ``order``, largest term first; ``work``
+    is used up.  Each step replaces the largest term by terms below it, so
+    under a :class:`LocalOrder` every term it adds has a degree at least its
+    own, and the finitely many terms below the cut bound the steps.
+
+    Reducing a term c*x^e by a reducer (lead, L, tail) with g = gcd(L, c)
+    and x^q * lead = x^e multiplies ``work`` and ``scale`` by L/g and
+    subtracts (c/g)*x^q*tail: L/g times the step over Q, so each term stays
+    exact over ``scale``.  A term no lead divides is final, as no later step
+    reaches it; it keeps the scale it had then until one rescaling at the
+    end.  Pending terms wait in a heap of ``order.heap_key``; a term that
+    cancels stays there as a zero."""
+    heap_key, cut = order.heap_key, order.cut
+    rem: dict[Exponents, tuple[int, int]] = {}
     heap = [(heap_key(e), e) for e in work]
     heapify(heap)
     while heap:
@@ -440,7 +471,7 @@ def normal_form(f: CommPoly, gb: CommGB) -> CommPoly:
             continue
         if cut is not None and sum(e) >= cut:
             break  # it is of the lowest degree left, so every term is cut
-        for ge, L, tail in gb.reducers:
+        for ge, L, tail in reducers:
             if _exps_divides(ge, e):
                 g = gcd(L, c)
                 if g != L:
@@ -458,20 +489,14 @@ def normal_form(f: CommPoly, gb: CommGB) -> CommPoly:
                         heappush(heap, (heap_key(ne), ne))
                 break
         else:
-            rem[e] = Fraction(c, scale)
-    return CommPoly(f.vars, rem)
+            rem[e] = c, scale
+    return {e: c * (scale // s) for e, (c, s) in rem.items()}, scale
 
 
-def _spoly(
-    f: CommPoly, fe: Exponents, g: CommPoly, ge: Exponents, lcm: Exponents
-) -> CommPoly:
-    """S-polynomial of the monic f and g with leads fe and ge."""
-    qf, qg = _exps_div(lcm, fe), _exps_div(lcm, ge)
-    terms = {_exps_mul(qf, e): c for e, c in f.terms.items()}
-    for e, c in g.terms.items():
-        ne = _exps_mul(qg, e)
-        terms[ne] = terms[ne] - c if ne in terms else -c
-    return CommPoly(f.vars, terms)
+def normal_form(f: CommPoly, gb: CommGB) -> CommPoly:
+    """Remainder of f under ``gb``, with no term that a lead divides."""
+    rem, scale = _reduce(*_cleared(f), gb.reducers, gb.order)
+    return CommPoly(f.vars, {e: Fraction(c, scale) for e, c in rem.items()})
 
 
 def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
@@ -489,11 +514,15 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
     counts as coprime: its S-polynomial is zero, so it is never queued but
     still serves the M and F criteria as a witness (Gebauer and Moeller,
     JSC 6, 1988).  The queued pair with the lowest sugar degree, and among
-    those the smallest lcm under ``order.key``, is reduced next, its
-    S-polynomial by the module-level :func:`normal_form` over the live
-    elements only (``gb.reducers``): a retired lead is a multiple of a live
-    one, so the reducible terms are the same.  On a homogeneous ideal the
-    sugar degree is the degree of the lcm.
+    those the smallest lcm under ``order.key``, is reduced next by the
+    kernel :func:`_reduce` over the live elements only: a retired lead is a
+    multiple of a live one, so the reducible terms are the same.  On a
+    homogeneous ideal the sugar degree is the degree of the lcm.
+
+    The loop runs over the integers: an element is only its reducer, made
+    from a remainder by :func:`_primitive`, an S-polynomial is built from two
+    reducers by :func:`_int_spoly`, and ``Fraction``s are built only for the
+    inter-reduced basis returned.
 
     Under a cut N the monomials of total degree N are basis elements that
     are never built.  Generators and normal forms drop every term of total
@@ -505,25 +534,23 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
     lead divides.
     """
     cut = order.cut
-    gb = CommGB([], order)
-    leads = gb.leads  # lead exponents, parallel to gb.basis
-    sugars: list[int] = []  # sugar degrees, parallel to gb.basis
+    reducers: list[tuple] = []  # every element, as its integer reducer
+    leads: list[Exponents] = []  # parallel to reducers
+    sugars: list[int] = []  # sugar degrees, parallel to reducers
     live: list[int] = []  # elements that take pairs with later ones
+    active: list[tuple] = []  # the reducers of the live elements
     queue: list[tuple] = []  # heap of (sugar, order.key(lcm), i, j, lcm)
-    reducers: list[tuple] = []  # integer reducers, parallel to gb.basis
 
-    def add(h: CommPoly, sugar: int) -> None:
-        e, c = h.lead(order)
-        k = len(gb.basis)
-        gb.basis.append(h.scale(1 / c))
-        reducers.append(_reducer(gb.basis[k], e))
+    def add(r: tuple, sugar: int) -> None:
+        e = r[0]
+        k = len(reducers)
+        reducers.append(r)
         leads.append(e)
         sugars.append(sugar)
         lcms = {i: _exps_lcm(leads[i], e) for i in live}
         # a pair of two monomials has S-polynomial zero, like a coprime one
-        monomial = len(h.terms) == 1
         coprime = {i for i in live if lcms[i] == _exps_mul(leads[i], e)
-                   or monomial and len(gb.basis[i].terms) == 1}
+                   or not r[2] and not reducers[i][2]}
         pending, kept = list(live), []
         while pending:
             i = pending.pop()
@@ -545,36 +572,33 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
                 )
                 heappush(queue, (s, order.key(lcms[i]), i, k, lcms[i]))
         live[:] = [i for i in live if not _exps_divides(e, leads[i])] + [k]
-        gb.reducers = [reducers[i] for i in live]
+        active[:] = [reducers[i] for i in live]
 
     for g in gens:
         if cut is not None:
             g = CommPoly(g.vars, {e: c for e, c in g.terms.items() if sum(e) < cut})
         if not g.is_zero():
-            add(g, max(map(order.degree, g.terms)))
-    if not gb.basis and cut is None:
+            add(_reducer(g, g.lead(order)[0]), max(map(order.degree, g.terms)))
+    if not reducers and cut is None:
         raise ValueError("no nonzero generators")
     while queue:
-        sugar, _, i, j, lcm = heappop(queue)
-        spoly = _spoly(gb.basis[i], leads[i], gb.basis[j], leads[j], lcm)
-        rem = normal_form(spoly, gb)
-        if not rem.is_zero():
-            add(rem, sugar)
+        sugar, _, i, j, m = heappop(queue)
+        rem, _ = _reduce(*_int_spoly(reducers[i], reducers[j], m), active, order)
+        if rem:
+            add(_primitive(next(iter(rem)), rem), sugar)
     # inter-reduce to the unique reduced basis.  Every element left out of
     # ``live`` has a lead divisible by a live one, and live leads are distinct.
-    tails = CommGB(
-        [gb.basis[k] for k in live
-         if not any(m != k and _exps_divides(leads[m], leads[k]) for m in live)],
-        order,
-    )
+    tails = [reducers[k] for k in live
+             if not any(m != k and _exps_divides(leads[m], leads[k]) for m in live)]
     reduced = {}
-    for g, e in zip(tails.basis, tails.leads):
+    for e, L, tail in tails:
         # the tail lies below e, and its normal form differs from it by an
         # element of the ideal, so e + NF(tail) is the element with lead e
-        tail = CommPoly(g.vars, {t: v for t, v in g.terms.items() if t != e})
-        reduced[e] = CommPoly(g.vars, {e: 1, **normal_form(tail, tails).terms})
+        rem, scale = _reduce(dict(tail), L, tails, order)
+        reduced[e] = CommPoly(order.vars, {
+            e: Fraction(1), **{t: Fraction(c, scale) for t, c in rem.items()}})
     if cut is not None:
-        for e in _standard_levels(len(order.vars), tails.leads, cut)[cut]:
+        for e in _standard_levels(len(order.vars), [r[0] for r in tails], cut)[cut]:
             reduced[e] = CommPoly.monomial(order.vars, e)
     return CommGB([reduced[e] for e in sorted(reduced)], order)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Sequence
 
-from .commpoly import CommPoly, Poly, VarSet, terms_str
+from .commpoly import CommPoly, Poly, VarSet, rational, terms_str
 
 Word = tuple[int, ...]
 
@@ -159,7 +159,7 @@ class NcPoly(Poly):
 
     @staticmethod
     def word(gens: GenSet, letters: Sequence[int], c=1) -> "NcPoly":
-        return NcPoly(gens, {canon_word(gens, letters): Fraction(c)})
+        return NcPoly(gens, {canon_word(gens, letters): rational(c)})
 
     def _check_image(self, name: str, image: "NcPoly") -> None:
         if self.ring.central[self.ring.index(name)] and any(

@@ -10,9 +10,9 @@ the reduction kernel without any cache, for checking ``nc_reduce``; it divides
 words with its own ``divide``, a letter-by-letter scan that shares no code
 with the engine's division search.  ``monomials_of_degree`` lists the
 monomials of one total degree, for the commutative engine's cut ideals with
-every cut monomial written out as a generator.  ``fraction_normal_form`` is
-the commutative reduction kernel in ``Fraction`` arithmetic, for checking the
-engine's integer kernel.
+every cut monomial written out as a generator.  ``fraction_normal_form`` and
+``fraction_spoly`` are the commutative reduction kernel and S-polynomial in
+``Fraction`` arithmetic, for checking the engine's integer ones.
 """
 
 from collections import Counter
@@ -60,6 +60,18 @@ def fraction_normal_form(f, gb):
         else:
             rem[e] = c
     return CommPoly(f.vars, rem)
+
+
+def fraction_spoly(f, fe, g, ge, lcm):
+    """S-polynomial of the monic f and g with leads fe and ge that divide
+    the exponents ``lcm``: x^(lcm - fe)*f - x^(lcm - ge)*g."""
+    qf = tuple(a - b for a, b in zip(lcm, fe))
+    qg = tuple(a - b for a, b in zip(lcm, ge))
+    terms = {tuple(a + b for a, b in zip(qf, e)): c for e, c in f.terms.items()}
+    for e, c in g.terms.items():
+        ne = tuple(a + b for a, b in zip(qg, e))
+        terms[ne] = terms[ne] - c if ne in terms else -c
+    return CommPoly(f.vars, terms)
 
 
 def divide(gens, lead, w):

@@ -186,6 +186,25 @@ def test_integer_kernel_zero_reduced_and_cut_inputs(cut):
     assert nf.is_zero() == (cut is not None)
 
 
+@pytest.mark.parametrize("build", [
+    lambda v: CommPoly(v, {(1, 0): 0.1}),
+    lambda v: CommPoly.const(v, 0.1),
+    lambda v: CommPoly.variable(v, "x").scale(0.1),
+    lambda v: CommPoly.monomial(v, (1, 0), 0.1),
+], ids=["init", "const", "scale", "monomial"])
+def test_float_coefficients_are_refused(build):
+    """0.1 is not 1/10 in binary, so a float coefficient is an error, not
+    the exact 3602879701896397/36028797018963968 it stands for."""
+    vars = varset("x", "y")
+    with pytest.raises(ValueError, match=r"^coefficient 0\.1 is a float; pass a "
+                                         r"Fraction, an int or a string"):
+        build(vars)
+    tenth = CommPoly(vars, {(1, 0): Fraction(1, 10)})
+    assert CommPoly.monomial(vars, (1, 0), "1/10") == tenth
+    assert CommPoly.variable(vars, "x").scale(Fraction(1, 10)) == tenth
+    assert CommPoly.const(vars, 2) == CommPoly(vars, {(0, 0): 2})
+
+
 def test_quotient_basis_finite_and_infinite():
     x, y, z, w = _vars()
     gb = groebner([x, y, z * z, w * w * w], GrlexOrder(XYZW))
@@ -339,13 +358,13 @@ def test_local_report_criteria_prune_pairs(monkeypatch):
     """The pair criteria keep the f0 tower cheap: without them most of the
     S-polynomials of the degree-N cut monomials are reduced, only to zero."""
     calls = []
-    inner = commpoly.normal_form
+    inner = commpoly._reduce
 
-    def counting(f, gb):
+    def counting(work, scale, reducers, order):
         calls.append(1)
-        return inner(f, gb)
+        return inner(work, scale, reducers, order)
 
-    monkeypatch.setattr(commpoly, "normal_form", counting)
+    monkeypatch.setattr(commpoly, "_reduce", counting)
     rep = local_report(partials(_f0(1)), GrlexOrder(XYZW), 20)
     assert (rep.status, rep.dim, rep.certified_at) == ("finite", 11, 6)
     assert 0 < len(calls) <= 1500
@@ -357,13 +376,13 @@ def test_monomial_pairs_are_never_reduced(monkeypatch):
     inter-reduction, one per basis element.  The f0 tower never builds its
     cut monomials and queues no pair with them."""
     inputs = []
-    inner = commpoly.normal_form
+    inner = commpoly._reduce
 
-    def counting(f, gb):
-        inputs.append(f)
-        return inner(f, gb)
+    def counting(work, scale, reducers, order):
+        inputs.append(CommPoly(order.vars, work))
+        return inner(work, scale, reducers, order)
 
-    monkeypatch.setattr(commpoly, "normal_form", counting)
+    monkeypatch.setattr(commpoly, "_reduce", counting)
     x, y, z, w = _vars()
     gens = [x * x, y * z, w ** 3] + [
         CommPoly.monomial(XYZW, e) for e in monomials_of_degree(XYZW, 3)

@@ -10,20 +10,28 @@ monomial of the cut degree listed as a generator: the two must generate the
 same ideal.  The local order itself cannot serve as that oracle without its
 cut, since its normal forms need not terminate there: -2*x*y^2 - 2*y leads
 with y, and reducing y*m by it gives x*y^2*m, which y divides again.  The
-integer reduction kernel is checked against the ``Fraction`` one in
-``tests/oracle.py`` on the bases of both kinds of order."""
+integer reduction kernel and S-polynomial are checked against the
+``Fraction`` ones in ``tests/oracle.py`` on the bases of both kinds of
+order, and the reducer made from a remainder against the one of its monic
+multiple."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncdef.commpoly import (
     CommPoly,
     GrlexOrder,
     LocalOrder,
+    _cleared,
+    _int_spoly,
+    _primitive,
+    _reducer,
     groebner,
     normal_form,
     poly_str,
@@ -31,7 +39,12 @@ from ncdef.commpoly import (
     varset,
 )
 from ncdef.exprparse import presentation_parse
-from oracle import brute_force_dim, fraction_normal_form, monomials_of_degree
+from oracle import (
+    brute_force_dim,
+    fraction_normal_form,
+    fraction_spoly,
+    monomials_of_degree,
+)
 
 
 @st.composite
@@ -98,13 +111,14 @@ def test_groebner_is_a_reduced_basis_of_the_ideal(ideal, rnd):
 
 
 @st.composite
-def reductions(draw):
-    """A basis under plain or weighted grlex, or a local order cut at 2-7,
-    and polynomials whose every coefficient has a denominator above 1."""
+def bases(draw, cuts=st.none() | st.integers(2, 7)):
+    """A basis under plain or weighted grlex (a cut of None), or under a
+    local order with a cut drawn from ``cuts``, of generators with
+    non-integral coefficients."""
     nvars = draw(st.integers(2, 3))
     vars = varset(*"xyz"[:nvars])
     weights = draw(st.none() | st.tuples(*[st.integers(1, 3)] * nvars))
-    cut = draw(st.none() | st.integers(2, 7))
+    cut = draw(cuts)
     order = (GrlexOrder(vars, weights) if cut is None
              else LocalOrder(vars, weights, cut=cut))
     coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
@@ -112,13 +126,21 @@ def reductions(draw):
     monomial = st.tuples(*[st.integers(0, 2)] * nvars).filter(any)
     gens = draw(st.lists(st.dictionaries(monomial, coeff, min_size=2, max_size=3),
                          min_size=1, max_size=3))
+    return groebner([CommPoly(vars, t) for t in gens], order)
+
+
+@st.composite
+def reductions(draw):
+    """A basis under plain or weighted grlex, or a local order cut at 2-7,
+    and polynomials whose every coefficient has a denominator above 1."""
+    gb = draw(bases())
+    vars = gb.order.vars
     rational = st.builds(Fraction, st.integers(-9, 9), st.integers(2, 12)).filter(
         lambda q: q.denominator > 1)
-    fs = draw(st.lists(st.dictionaries(st.tuples(*[st.integers(0, 4)] * nvars),
+    fs = draw(st.lists(st.dictionaries(st.tuples(*[st.integers(0, 4)] * len(vars)),
                                        rational, max_size=5),
                        min_size=1, max_size=3))
-    return (groebner([CommPoly(vars, t) for t in gens], order),
-            [CommPoly(vars, t) for t in fs])
+    return gb, [CommPoly(vars, t) for t in fs]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -131,6 +153,47 @@ def test_integer_kernel_matches_the_fraction_kernel(case):
         nf = normal_form(f, gb)
         assert nf == fraction_normal_form(f, gb)
         assert all(type(c) is Fraction for c in nf.terms.values())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                                 st.integers(1, 12)),
+                       min_size=1, max_size=5),
+       st.integers(1, 6), st.sampled_from([1, -1]), st.none() | st.integers(1, 7))
+@example({(1, 0): Fraction(-2, 3), (0, 1): Fraction(4, 5)}, 6, 1, None)
+def test_primitive_vector_is_the_reducer_of_the_monic_element(terms, k, sign, cut):
+    """An integer vector over its content, signed so that its lead
+    coefficient is positive, is the reducer of its monic multiple
+    h.scale(1/c): also when the lead coefficient is negative and the
+    content above 1 (the example: -10*x + 12*y times 6)."""
+    vars = varset("x", "y")
+    order = GrlexOrder(vars) if cut is None else LocalOrder(vars, cut=cut)
+    h = CommPoly(vars, terms)
+    e, c = h.lead(order)
+    work = {t: sign * k * v for t, v in _cleared(h)[0].items()}
+    monic = h.scale(1 / c)
+    L = lcm(*(v.denominator for v in monic.terms.values()))
+    tail = [(t, v.numerator * (L // v.denominator))
+            for t, v in monic.terms.items() if t != e]
+    assert _primitive(e, work) == _reducer(monic, e) == (e, L, tail)
+
+
+@pytest.mark.parametrize("cuts", [st.none(), st.integers(2, 7)],
+                         ids=["grlex", "local"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_integer_spoly_is_the_fraction_spoly_over_its_scale(cuts, data):
+    """The S-polynomial that groebner builds from two integer reducers,
+    divided by its scale, is the Fraction S-polynomial of the two monic
+    elements, for every pair of a basis."""
+    gb = data.draw(bases(cuts))
+    for i, j in combinations(range(len(gb.basis)), 2):
+        m = tuple(map(max, gb.leads[i], gb.leads[j]))
+        work, scale = _int_spoly(gb.reducers[i], gb.reducers[j], m)
+        spoly = CommPoly(gb.order.vars, {t: Fraction(c, scale) for t, c in work.items()})
+        assert spoly == fraction_spoly(gb.basis[i], gb.leads[i],
+                                       gb.basis[j], gb.leads[j], m)
 
 
 def _cut_ideal(gens, vars, N):

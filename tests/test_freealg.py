@@ -47,6 +47,20 @@ def test_ring_axioms_randomized(gens):
         assert f - f == NcPoly.zero(gens)
 
 
+@pytest.mark.parametrize("build", [
+    lambda g: NcPoly.word(g, (0, 1), 0.1),
+    lambda g: NcPoly(g, {(0,): 0.1}),
+    lambda g: NcPoly.const(g, 0.1),
+    lambda g: NcPoly.gen(g, "a").scale(0.1),
+], ids=["word", "init", "const", "scale"])
+def test_float_coefficients_are_refused(build):
+    """An NcPoly coefficient goes through the same check as a CommPoly one:
+    a float is an error, not its exact binary value."""
+    with pytest.raises(ValueError, match=r"^coefficient 0\.1 is a float"):
+        build(G2)
+    assert NcPoly.word(G2, (0, 1), "1/10") == NcPoly(G2, {(0, 1): Fraction(1, 10)})
+
+
 def test_noncommutativity_visible():
     a, b = NcPoly.gen(G2, "a"), NcPoly.gen(G2, "b")
     assert a * b != b * a
