@@ -168,8 +168,9 @@ class Poly:
 
     def __init__(self, ring: VarSet, terms: Mapping):
         self.ring = ring
-        self.terms = {m: c if type(c) is Fraction else rational(c)
-                      for m, c in terms.items() if c}
+        # convert before the zero filter, so that a float zero raises too
+        self.terms = {m: q for m, c in terms.items()
+                      if (q := c if type(c) is Fraction else rational(c))}
 
     @classmethod
     def zero(cls, ring: VarSet):
@@ -425,7 +426,7 @@ def _primitive(e: Exponents, work: Mapping[Exponents, int]):
     return e, work[e] // g, [(t, c // g) for t, c in work.items() if t != e]
 
 
-def _cleared(f: CommPoly) -> tuple[dict[Exponents, int], int]:
+def _cleared(f: Poly) -> tuple[dict, int]:
     """(work, scale): f times ``scale``, the lcm of its denominators."""
     scale = lcm(*(c.denominator for c in f.terms.values()))
     return {e: c.numerator * (scale // c.denominator)

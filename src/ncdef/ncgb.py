@@ -20,14 +20,16 @@ two-sided combination of the original relations, which lets
 Provenance is folded only for a pair that becomes a rule: pairs which reduce
 to zero never build one.
 
-Every normal form goes through :func:`nc_reduce`.  A :class:`TruncatedGB`
-caches, per word, which active rule divides it and where; completion clears
-the cache whenever a rule is added or retired, so the many reductions
-between two such changes divide each word only once.  There is one division
-search, :func:`find_division`: each rule splits its lead once, into a
-multiset of central letters and a string key of its noncommutative letters,
-and the word is split and keyed once per search, so trying a rule is a
-C-level substring search rather than a scan of the word's factors.
+Completion runs over ``int``s: every normal form goes through one integer
+kernel, :func:`_reduce`, with one running scale, provenance is folded into
+integer accumulators, and ``Fraction``s are built only for a new rule's tail
+and the public views.  A :class:`TruncatedGB` caches, per word, which active
+rule divides it and where; completion clears the cache whenever a rule is
+added or retired, so the many reductions between two such changes divide
+each word only once.  There is one division search, :func:`find_division`:
+each rule splits its lead once, into a multiset of central letters and a
+string key of its noncommutative letters, and the word is split and keyed
+once per search, so trying a rule is a C-level substring search.
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .commpoly import (GrlexOrder, InternalConsistencyError, LocalReport, VarSet,
-                       graded_dims, local_report, stable_tower, substitute)
+                       _cleared, graded_dims, local_report, stable_tower, substitute)
 from .freealg import (
     GenSet,
     NcOrder,
@@ -53,7 +56,8 @@ from .freealg import (
 from .linalg import nullspace
 
 # A provenance maps (left word, relation index, right word) -> coefficient,
-# representing the two-sided combination  sum c * u * relation_i * v.
+# representing the two-sided combination  sum c * u * relation_i * v.  An
+# accumulator [terms, D] holds the provenance {key: t / D} over the ints.
 Provenance = dict[tuple[Word, int, Word], Fraction]
 
 
@@ -96,22 +100,30 @@ class RewriteRule:
     """Monic rule ``lead -> tail`` with provenance ``lead - tail = sum prov``.
 
     ``exact`` means the provenance identity holds on the nose (no word was
-    dropped by truncation anywhere in the rule's derivation).
+    dropped by truncation anywhere in the rule's derivation).  Setting
+    ``tail`` sets ``red`` = (R, L), the tail as R/L over the ints, and
+    ``prov`` is the view of the accumulator ``acc`` (None without provenance).
     """
 
-    __slots__ = ("lead", "tail", "prov", "exact", "idx", "active",
+    __slots__ = ("lead", "_tail", "red", "acc", "exact", "idx", "active",
                  "lead_c", "lead_key")
 
-    def __init__(self, lead: Word, tail: NcPoly, prov: Provenance, exact: bool, idx: int):
+    def __init__(self, lead: Word, tail: NcPoly, acc: list | None, exact: bool, idx: int):
         self.lead = lead
         lc, ln = word_split(tail.gens, lead)
         self.lead_c = Counter(lc)  # central letters of the lead, as a multiset
         self.lead_key = _word_key(ln)  # its noncommutative part
         self.tail = tail
-        self.prov = prov
+        self.acc = acc
         self.exact = exact
         self.idx = idx
         self.active = True
+
+    def _set_tail(self, tail: NcPoly) -> None:
+        self._tail, self.red = tail, _cleared(tail)
+
+    tail = property(lambda self: self._tail, _set_tail)
+    prov = property(lambda self: _prov_view(self.acc))
 
     def poly(self) -> NcPoly:
         return NcPoly(self.tail.gens, {self.lead: Fraction(1)}) - self.tail
@@ -192,17 +204,19 @@ class ReduceResult:
     truncated: bool
 
 
-def nc_reduce(f: NcPoly, gb: TruncatedGB) -> ReduceResult:
-    """Normal form of ``f`` modulo the active rules and the cutoff.
+def _reduce(work: dict[Word, int], scale: int, gb: TruncatedGB):
+    """The integer kernel: ``(rem, scale, trace, truncated)`` with rem/scale
+    the normal form of work/scale modulo the active rules and the cutoff.
 
     Each step rewrites the reducible term with the largest rule key (the
     lowest-degree one), using the lowest-index applicable rule at its leftmost
-    occurrence; the returned trace records each step as ``(c, u, rule index,
-    v)``.  Words of order degree >= ``trunc`` are dropped and recorded in
-    ``truncated``.  Which rule divides a word, and where, is looked up in
-    ``gb.reductions`` and searched only for words not seen since the active
-    rules last changed; the rule key is computed once per call, and only for
-    the reducible words.
+    occurrence: on a term c, with the rule's ``red`` (R, L) and g = gcd(L, c),
+    it multiplies ``work`` and ``scale`` by L/g and adds (c/g) * u * R * v,
+    and it records ``(c, scale, u, rule index, v)`` in the trace.  Words of
+    order degree >= ``trunc`` are dropped and recorded in ``truncated``.
+    Which rule divides a word, and where, is looked up in ``gb.reductions``
+    and searched only for words not seen since the active rules last changed;
+    the rule key is computed once per call, and only for the reducible words.
 
     The rule key is multiplicative, so a step creates only words whose key
     is below that of the word it rewrote; as the largest reducible key is
@@ -213,14 +227,10 @@ def nc_reduce(f: NcPoly, gb: TruncatedGB) -> ReduceResult:
     degree, trunc = gb.order.degree, gb.trunc
     active: Optional[list[RewriteRule]] = None
     keys: dict[Word, tuple] = {}  # rule keys of the reducible words seen
-    work: dict[Word, Fraction] = {}
-    truncated = False
-    for w, c in f.terms.items():
-        if degree(w) >= trunc:
-            truncated = True
-        else:
-            work[w] = c
-    trace: list[tuple[Fraction, Word, int, Word]] = []
+    size = len(work)
+    work = {w: c for w, c in work.items() if degree(w) < trunc}
+    truncated = len(work) < size
+    trace: list[tuple[int, int, Word, int, Word]] = []
     while True:
         best = best_w = best_k = None
         for w in work:
@@ -240,57 +250,78 @@ def nc_reduce(f: NcPoly, gb: TruncatedGB) -> ReduceResult:
             break
         rule, u, v = best
         c = work.pop(best_w)
-        for tw, tc in rule.tail.terms.items():
+        trace.append((c, scale, u, rule.idx, v))
+        tail, L = rule.red
+        g = gcd(L, c)
+        if g != L:
+            a = L // g
+            scale *= a
+            for w in work:
+                work[w] *= a
+        b = c // g
+        for tw, tc in tail.items():
             nw = word_mul(gens, word_mul(gens, u, tw), v)
             if degree(nw) >= trunc:
                 truncated = True
                 continue
-            # most tail coefficients are +-1: a sign flip skips the product
-            t = c if tc == 1 else -c if tc == -1 else c * tc
+            t = b * tc
             if nw not in work:
                 work[nw] = t
             elif nv := work[nw] + t:
                 work[nw] = nv
             else:
                 del work[nw]
-        trace.append((c, u, rule.idx, v))
-    return ReduceResult(NcPoly(gens, work), trace, truncated)
+    return work, scale, trace, truncated
 
 
-def _conj(gens: GenSet, u: Word, prov: Provenance, v: Word, c: Fraction) -> Provenance:
-    out: Provenance = {}
-    for (pu, i, pv), pc in prov.items():
-        key = (word_mul(gens, u, pu), i, word_mul(gens, pv, v))
-        t = pc * c  # Fraction first: c may be a +-1 int
-        out[key] = out[key] + t if key in out else t
-    return out
+def nc_reduce(f: NcPoly, gb: TruncatedGB) -> ReduceResult:
+    """Normal form of ``f`` by the kernel :func:`_reduce`, in ``Fraction``s:
+    its trace records each step c * u * rule_i * v as ``(c, u, i, v)``."""
+    rem, scale, trace, truncated = _reduce(*_cleared(f), gb)
+    poly = NcPoly(gb.gens, {w: Fraction(c, scale) for w, c in rem.items()})
+    return ReduceResult(poly, [(Fraction(c, s), u, i, v) for c, s, u, i, v in trace],
+                        truncated)
 
 
-def _prov_add(dst: Provenance, src: Provenance) -> None:
-    for key, c in src.items():
-        if key not in dst:
-            if c:  # _conj can leave a zero where two of its keys merged
-                dst[key] = c
-        elif nv := dst[key] + c:
-            dst[key] = nv
-        else:
-            del dst[key]
+def _prov_view(acc: list | None) -> Provenance:
+    """The provenance an accumulator holds; empty for None."""
+    return {k: Fraction(t, acc[1]) for k, t in acc[0].items()} if acc else {}
 
 
-def _fold_trace(
-    gb: TruncatedGB,
-    trace: Sequence[tuple[Fraction, Word, int, Word]],
-    prov: Optional[Provenance],
-    sign: int,
-) -> bool:
-    """Add ``sign * c * u * rule_i * v`` for each step to ``prov`` (skipped
-    when None); True when every rule used is exact."""
+def _fold_trace(gb: TruncatedGB, trace: Sequence[tuple[int, int, Word, int, Word]],
+                acc: list | None, sign: int) -> bool:
+    """Add ``sign * c/s * u * prov_i * v`` for each raw step ``(c, s, u, i,
+    v)`` to the accumulator ``acc`` (skipped when None), raising its
+    denominator as a step needs; True when every rule used is exact.  A step
+    by the rule that owns ``acc`` reads a snapshot of it."""
+    gens, rules = gb.gens, gb.rules
     exact = True
-    for c, u, i, v in trace:
-        rule = gb.rules[i]
-        if prov is not None:
-            _prov_add(prov, _conj(gb.gens, u, rule.prov, v, c if sign > 0 else -c))
+    for c, s, u, i, v in trace:
+        rule = rules[i]
         exact = exact and rule.exact
+        if acc is None:
+            continue
+        src, den = rule.acc
+        dst = acc[0]
+        src = dict(src) if src is dst else src
+        m = s * den
+        g = gcd(c, m)
+        c, m = sign * c // g, m // g
+        a = m // gcd(acc[1], m)
+        if a != 1:
+            acc[1] *= a
+            for k in dst:
+                dst[k] *= a
+        c *= acc[1] // m
+        for (pu, j, pv), t in src.items():
+            key = (word_mul(gens, u, pu), j, word_mul(gens, pv, v))
+            t *= c
+            if key not in dst:
+                dst[key] = t
+            elif nv := dst[key] + t:
+                dst[key] = nv
+            else:
+                del dst[key]
     return exact
 
 
@@ -326,35 +357,38 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         seq += 1
 
     for i, rel in enumerate(p.relations):
-        prov: Provenance = {((), i, ()): Fraction(1)} if provenance else {}
-        push(min(len(w) for w in rel.terms), ("poly", rel, prov, True))
+        acc = [{((), i, ()): 1}, 1] if provenance else None
+        push(min(len(w) for w in rel.terms), ("poly", *_cleared(rel), acc, True))
 
-    def build(item) -> tuple[NcPoly, bool]:
-        """Polynomial and exactness of an item.
+    def build(item) -> tuple[dict[Word, int], int, bool]:
+        """``(work, scale, exact)`` of an item, whose polynomial is work/scale.
 
         A ``comb`` item is a two-sided combination  sum c * u * rule_i * v
-        of rules whose leads cancel (critical pairs, central-letter pairs);
-        its polynomial is what remains,  -sum c * u * tail_i * v.
+        of rules whose leads cancel (critical pairs, central-letter pairs),
+        as raw trace steps ``(c, 1, u, i, v)``; its polynomial is what
+        remains,  -sum c * u * tail_i * v, over the lcm of the rules' L.
         """
         if item[0] == "poly":
-            _, poly, _, exact = item
-            return poly, exact
+            _, work, scale, _, exact = item
+            return work, scale, exact
         _, combo = item
-        terms: dict[Word, Fraction] = {}
-        for c, u, i, v in combo:  # every c is 1 or -1
-            for tw, tc in gb.rules[i].tail.terms.items():
+        scale = lcm(*(gb.rules[i].red[1] for _, _, _, i, _ in combo))
+        work: dict[Word, int] = {}
+        for c, _, u, i, v in combo:  # every c is 1 or -1
+            tail, L = gb.rules[i].red
+            k = -c * (scale // L)
+            for tw, tc in tail.items():
                 w = word_mul(gens, word_mul(gens, u, tw), v)
-                t = -tc if c > 0 else tc
-                terms[w] = terms[w] + t if w in terms else t
-        return NcPoly(gens, terms), _fold_trace(gb, combo, None, 1)
+                work[w] = work[w] + k * tc if w in work else k * tc
+        return {w: c for w, c in work.items() if c}, scale, _fold_trace(gb, combo, None, 1)
 
-    def item_prov(item) -> Provenance:
+    def item_acc(item) -> list:
         """Provenance of an item, built only for one that becomes a rule."""
         if item[0] == "poly":
-            return dict(item[2])
-        prov: Provenance = {}
-        _fold_trace(gb, item[1], prov, 1)
-        return prov
+            return [dict(item[3][0]), item[3][1]]
+        acc = [{}, 1]
+        _fold_trace(gb, item[1], acc, 1)
+        return acc
 
     def gen_pairs(rp: RewriteRule, rq: RewriteRule) -> None:
         """Queue the critical pairs of the ordered rule pair (rp, rq)."""
@@ -368,7 +402,7 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         clen = sum(cmax.values())
 
         def emit(up, vp, uq, vq, wlen):
-            push(wlen, ("comb", ((1, uq, rq.idx, vq), (-1, up, rp.idx, vp))))
+            push(wlen, ("comb", ((1, 1, uq, rq.idx, vq), (-1, 1, up, rp.idx, vp))))
 
         if pn and qn:
             # proper overlaps: a suffix of pn is a prefix of qn
@@ -397,40 +431,41 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         if steps > _MAX_COMPLETION_STEPS:
             raise RuntimeError("completion step limit exceeded")
         _, _, item = heapq.heappop(heap)
-        poly, exact = build(item)
-        red = nc_reduce(poly, gb)
-        if red.poly.is_zero():
+        work, scale, exact = build(item)
+        rem, scale, trace, truncated = _reduce(work, scale, gb)
+        if not rem:
             continue
         # nothing has changed gb.rules since the pop, so the provenance
         # folded now is the one the item would have carried all along
-        prov = item_prov(item) if provenance else None
-        exact = _fold_trace(gb, red.trace, prov, -1) and exact and not red.truncated
-        lead = max(red.poly.terms, key=order.rule_key)
+        acc = item_acc(item) if provenance else None
+        exact = _fold_trace(gb, trace, acc, -1) and exact and not truncated
+        lead = max(rem, key=order.rule_key)
         if not lead:
             raise PresentationError("relations generate the unit ideal")
-        c0 = red.poly.terms[lead]
-        tail = NcPoly(gens, {w: -cf / c0 for w, cf in red.poly.terms.items() if w != lead})
-        prov = {k: cf / c0 for k, cf in prov.items()} if provenance else {}
-        new = RewriteRule(lead, tail, prov, exact, len(gb.rules))
+        c0 = rem[lead]
+        tail = NcPoly(gens, {w: Fraction(-c, c0) for w, c in rem.items() if w != lead})
+        if provenance:  # acc gives rem / scale, and the rule is rem / c0
+            terms, den = acc[0], acc[1] * c0
+            g = gcd(den, scale * gcd(*terms.values())) * (1 if den > 0 else -1)
+            acc = [{k: t * scale // g for k, t in terms.items()}, den // g]
+        new = RewriteRule(lead, tail, acc, exact, len(gb.rules))
         gb.rules.append(new)
         # retire rules whose lead the new lead divides; requeue their content
         for r in gb.rules:
             if r.active and r is not new and find_division(gens, (new,), r.lead):
                 r.active = False
-                push(len(r.lead), ("poly", r.poly(), dict(r.prov), r.exact))
+                rtail, L = r.red
+                work = {r.lead: L, **{w: -c for w, c in rtail.items()}}
+                push(len(r.lead), ("poly", work, L, r.acc, r.exact))
         gb.reductions.clear()  # the active rules changed
         # keep the remaining tails in normal form
         for r in gb.rules:
             if not r.active or r is new:
                 continue
-            rr = nc_reduce(r.tail, gb)
-            if rr.trace or rr.truncated:
-                r.tail = rr.poly
-                r.exact = (
-                    _fold_trace(gb, rr.trace, r.prov if provenance else None, 1)
-                    and r.exact
-                    and not rr.truncated
-                )
+            rem, scale, trace, truncated = _reduce(*r.red, gb)
+            if trace or truncated:
+                r.tail = NcPoly(gens, {w: Fraction(c, scale) for w, c in rem.items()})
+                r.exact = _fold_trace(gb, trace, r.acc, 1) and r.exact and not truncated
         for r in gb.rules:
             if not r.active:
                 continue
@@ -442,7 +477,7 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
                 # a central-only lead rewrites at any position, so its tail
                 # must commute with every noncommuting generator
                 push(len(new.lead) + 1,
-                     ("comb", ((1, (x,), new.idx, ()), (-1, (), new.idx, (x,)))))
+                     ("comb", ((1, 1, (x,), new.idx, ()), (-1, 1, (), new.idx, (x,)))))
     gb.reductions.clear()  # return a lean system; later reductions refill it
     return gb
 
@@ -570,12 +605,14 @@ def derive_check(
     out = []
     for f in claims:
         red = nc_reduce(f, gb)
-        cert: Provenance = {}
+        acc = [{}, 1]
+        steps = [(c.numerator, c.denominator, u, i, v) for c, u, i, v in red.trace]
         if (
             red.poly.is_zero()
             and not red.truncated
-            and _fold_trace(gb, red.trace, cert, 1)
+            and _fold_trace(gb, steps, acc, 1)
         ):
+            cert = _prov_view(acc)
             if expand_certificate(p, cert) != f:
                 raise InternalConsistencyError(
                     "certificate replay does not reproduce the claim"

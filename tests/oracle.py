@@ -12,7 +12,9 @@ with the engine's division search.  ``monomials_of_degree`` lists the
 monomials of one total degree, for the commutative engine's cut ideals with
 every cut monomial written out as a generator.  ``fraction_normal_form`` and
 ``fraction_spoly`` are the commutative reduction kernel and S-polynomial in
-``Fraction`` arithmetic, for checking the engine's integer ones.
+``Fraction`` arithmetic, for checking the engine's integer ones;
+``fraction_fold`` is the provenance fold of the rewriting engine in
+``Fraction`` arithmetic, for checking its integer accumulators.
 """
 
 from collections import Counter
@@ -72,6 +74,28 @@ def fraction_spoly(f, fe, g, ge, lcm):
         ne = tuple(a + b for a, b in zip(qg, e))
         terms[ne] = terms[ne] - c if ne in terms else -c
     return CommPoly(f.vars, terms)
+
+
+def fraction_fold(gens, provs, trace, dst, sign):
+    """Add ``sign * c * u * provs[i] * v`` to the provenance ``dst`` for
+    each step ``(c, u, i, v)`` of ``trace``, in ``Fraction`` arithmetic.
+
+    Each step first builds its whole term, the provenance ``provs[i]`` with
+    u and v multiplied on and its coefficients scaled, and then adds it, so
+    ``provs[i]`` may be ``dst`` itself: a step reads it as the earlier steps
+    left it.  A key whose sum is zero is removed.
+    """
+    for c, u, i, v in trace:
+        term = {}
+        for (pu, j, pv), pc in provs[i].items():
+            key = (word_mul(gens, u, pu), j, word_mul(gens, pv, v))
+            term[key] = term.get(key, 0) + sign * c * pc
+        for key, t in term.items():
+            nv = dst.get(key, 0) + t
+            if nv:
+                dst[key] = nv
+            else:
+                dst.pop(key, None)
 
 
 def divide(gens, lead, w):

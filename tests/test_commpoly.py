@@ -205,6 +205,16 @@ def test_float_coefficients_are_refused(build):
     assert CommPoly.const(vars, 2) == CommPoly(vars, {(0, 0): 2})
 
 
+@pytest.mark.parametrize("terms", [{(1, 0): 0.0, (0, 1): 1}, {(1, 0): -0.0}])
+def test_float_zero_is_refused_like_any_float(terms):
+    """A zero coefficient is dropped only after it is converted, so a float
+    zero raises as every float does instead of vanishing silently."""
+    vars = varset("x", "y")
+    with pytest.raises(ValueError, match=r"^coefficient -?0\.0 is a float"):
+        CommPoly(vars, terms)
+    assert CommPoly(vars, {(1, 0): 0, (0, 1): Fraction(0)}).is_zero()
+
+
 def test_quotient_basis_finite_and_infinite():
     x, y, z, w = _vars()
     gb = groebner([x, y, z * z, w * w * w], GrlexOrder(XYZW))

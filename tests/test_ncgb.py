@@ -14,6 +14,7 @@ import hashlib
 import json
 import pathlib
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -85,7 +86,7 @@ def test_presentation_rejects_constant_term():
 def test_find_division_central_and_position():
     g = genset(["t", "a", "b"], central=["t"])
     t, a, b = 0, 1, 2
-    rule = RewriteRule((t, a), NcPoly.zero(g), {}, True, 0)
+    rule = RewriteRule((t, a), NcPoly.zero(g), None, True, 0)
     # lead t*a inside t*b*a*b: central t divides, nc part a at position 1
     hit = find_division(g, [rule], (t, b, a, b))
     assert hit is not None
@@ -297,6 +298,46 @@ def test_rule_system_matches_pinned(name, monkeypatch):
     pinned = json.loads(RULE_SYSTEMS.read_text(encoding="utf-8"))
     got = _pinned_digests(name)
     assert got == {k: v for k, v in pinned.items() if k.startswith(name + "/")}
+
+
+def _fractions(coefficients) -> bool:
+    return all(type(c) is Fraction for c in coefficients)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_public_coefficients_are_fractions(name):
+    """Completion runs over ints, but every coefficient it hands out is a
+    Fraction: never a bare int, nor a float from a stray ``1 / int``."""
+    p, cutoffs = PINNED[name]
+    steps = 0
+    for n in cutoffs:
+        for prov in (True, False):
+            gb = nc_complete(p, n, prov)
+            for r in gb.rules:
+                assert _fractions(r.tail.terms.values())
+                assert _fractions(r.prov.values())
+                assert bool(r.prov) == prov
+            for rel in p.relations:
+                red = nc_reduce(rel, gb)
+                assert _fractions(red.poly.terms.values())
+                assert _fractions(c for c, _, _, _ in red.trace)
+                steps += len(red.trace)
+    assert steps
+
+
+def test_certificates_are_fractions():
+    p = karmazyn_contraction_presentation(3)
+    g = p.gens
+    b, c = (NcPoly.gen(g, n) for n in ("b", "c"))
+    rels = p.relations
+    claims = [b.scale(Fraction(2, 5)) * r * c + s.scale(Fraction(-3, 7))
+              for r, s in zip(rels, rels[1:] + rels[:1])]
+    results = derive_check(p, claims + [b], 8)
+    assert [r.status for r in results] == ["certified-zero"] * len(claims) + ["inconclusive"]
+    for res in results:
+        assert _fractions(res.normal_form.terms.values())
+        if res.certificate is not None:
+            assert _fractions(res.certificate.values())
 
 
 def _compares_len_with_trunc(node):

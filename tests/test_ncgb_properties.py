@@ -6,10 +6,12 @@ that keeps nothing between steps.  The division search
 :func:`~ncdef.ncgb.find_division`, which matches each rule's split lead by
 substring and multiset tests, must pick the rule and the division that the
 oracle's letter-by-letter scan finds.  While completion runs, every cached
-division must be the one the oracle finds.
+division must be the one the oracle finds.  The integer provenance fold,
+read as ``Fraction``s, must equal the oracle's ``Fraction`` fold.
 """
 
 import functools
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +23,8 @@ from ncdef.exprparse import presentation_parse
 from ncdef.freealg import NcPoly, canon_word, genset, word_mul
 from ncdef.ncgb import (
     RewriteRule,
+    _fold_trace,
+    _prov_view,
     find_division,
     nc_complete,
     nc_reduce,
@@ -31,7 +35,7 @@ from ncdef.zoo import (
     length2_claimed_presentation,
     standard_lambda,
 )
-from oracle import first_division, rescan_reduce
+from oracle import first_division, fraction_fold, rescan_reduce
 
 TRUNC = 7
 PRESENTATIONS = {
@@ -101,7 +105,7 @@ def divisor_cases(draw):
     if draw(st.booleans()):  # make sure some lead divides the word
         w = word_mul(gens, word_mul(gens, w, draw(st.sampled_from(leads))), draw(words(1, 2)))
     zero = NcPoly.zero(gens)
-    return gens, [RewriteRule(lead, zero, {}, True, k) for k, lead in enumerate(leads)], w
+    return gens, [RewriteRule(lead, zero, None, True, k) for k, lead in enumerate(leads)], w
 
 
 @settings(max_examples=200, deadline=None)
@@ -124,16 +128,85 @@ def _check_cached_divisions(gb):
 @pytest.mark.parametrize("trunc", [4, 5, 6, 7])
 @pytest.mark.parametrize("name", PRESENTATIONS)
 def test_cached_divisions_stay_valid_during_completion(monkeypatch, name, trunc):
-    real = ncgb.nc_reduce
+    real = ncgb._reduce
     calls = 0
 
-    def checked(f, gb):
+    def checked(work, scale, gb):
         nonlocal calls
         calls += 1
-        red = real(f, gb)
+        red = real(work, scale, gb)
         _check_cached_divisions(gb)
         return red
 
-    monkeypatch.setattr(ncgb, "nc_reduce", checked)
+    monkeypatch.setattr(ncgb, "_reduce", checked)
     nc_complete(PRESENTATIONS[name], trunc)
     assert calls
+
+
+# karmazyn-3 has rules whose tails have denominators 9 and 2 (reducer L > 1),
+# non-unit rules whose provenance denominators run up to 60, and laufer-1-sym
+# an inexact rule
+FOLDED = {
+    "karmazyn-3": karmazyn_contraction_presentation(3),
+    "non-unit": PRESENTATIONS["non-unit"],
+    "laufer-1-sym": PRESENTATIONS["laufer-1-sym"],
+}
+
+
+@st.composite
+def folds(draw):
+    """A fresh completion, which a fold may write into, and raw trace steps
+    ``(c, s, u, i, v)`` over its rules.  The scale s only grows, by a factor
+    per step, as in the kernel; with ``owner`` set the fold goes into that
+    rule's own provenance, and its steps often use that rule."""
+    gb = nc_complete(FOLDED[draw(st.sampled_from(sorted(FOLDED)))], TRUNC)
+    letters = st.lists(st.integers(0, len(gb.gens.names) - 1), max_size=3)
+    words = letters.map(lambda ls: canon_word(gb.gens, ls))
+    owner = draw(st.none() | st.integers(0, len(gb.rules) - 1))
+    index = st.integers(0, len(gb.rules) - 1)
+    if owner is not None:
+        index = index | st.just(owner)
+    steps = draw(st.lists(
+        st.tuples(st.integers(-12, 12).filter(bool), st.sampled_from([1, 1, 2, 3, 5, 6]),
+                  words, index, words),
+        min_size=1, max_size=6))
+    trace, scale = [], 1
+    for c, a, u, i, v in steps:
+        scale *= a
+        trace.append((c, scale, u, i, v))
+    return gb, trace, owner, draw(st.sampled_from([1, -1]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(folds())
+def test_integer_fold_matches_the_fraction_fold(case):
+    gb, trace, owner, sign = case
+    provs = {r.idx: r.prov for r in gb.rules}
+    if owner is None:
+        acc, want = [{}, 1], {}
+    else:
+        acc, want = gb.rules[owner].acc, provs[owner]
+    exact = _fold_trace(gb, trace, acc, sign)
+    steps = [(Fraction(c, s), u, i, v) for c, s, u, i, v in trace]
+    fraction_fold(gb.gens, provs, steps, want, sign)
+    assert _prov_view(acc) == want
+    assert all(type(c) is int for c in acc[0].values())
+    assert exact == all(gb.rules[i].exact for _, _, _, i, _ in trace)
+
+
+def test_integer_fold_into_its_own_rule_with_denominators():
+    """One fixed fold that has every case at once: a rule whose reducer has
+    L > 1 and whose provenance has a denominator, folded into its own
+    provenance, with the scale changing between the steps."""
+    gb = nc_complete(FOLDED["karmazyn-3"], TRUNC)
+    rule = next(r for r in gb.rules if r.red[1] > 1 and r.acc[1] > 1)
+    other = next(r for r in gb.rules if r.red[1] > 1 and r is not rule)
+    b = (gb.gens.index("b"),)
+    trace = [(3, 1, (), rule.idx, ()), (4, 2, b, other.idx, ()),
+             (-7, 10, (), rule.idx, b), (5, 10, b, rule.idx, b)]
+    provs = {r.idx: r.prov for r in gb.rules}
+    want = provs[rule.idx]
+    _fold_trace(gb, trace, rule.acc, -1)
+    fraction_fold(gb.gens, provs, [(Fraction(c, s), u, i, v) for c, s, u, i, v in trace],
+                  want, -1)
+    assert rule.prov == want
