@@ -19,10 +19,14 @@ lead divides.  Under a :class:`LocalOrder` with cut N it also holds every
 monomial of total degree N, without building them as generators.  A
 :class:`CommGB` is monic and carries one list of its elements' lead
 exponents, so normal forms and quotient bases neither recompute a lead nor
-divide by its coefficient.  Reduction is fraction-free: one integer kernel
-carries one running scale and takes pending terms from a heap, and
-Buchberger's loop stays in it throughout, so ``Fraction``s are built only
-for returned bases and normal forms.  A ``float`` coefficient is refused.
+divide by its coefficient.  Reduction is fraction-free: :func:`_rewrite`,
+the one normal-form kernel of both engines, divides by integer reducers
+with one running scale, looks a term's divisor up once, when the term
+enters the work, and heaps only reducible terms.  Buchberger's loop stays
+in the integers throughout, so ``Fraction``s are built only for returned
+bases and normal forms.  One enumerator, :func:`_standard_levels`, lists
+standard monomials and words, and one printer, :func:`word_str`, writes
+them.  A ``float`` coefficient is refused.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import groupby
 from math import gcd, lcm
 from operator import add, le, mul, neg, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -299,10 +304,18 @@ def terms_str(terms: Iterable[tuple[Fraction, str]]) -> str:
     return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
 
+def word_str(vars: VarSet, letters: Sequence[int]) -> str:
+    """Text of a product of letters, indices into ``vars``: each run of one
+    letter as a power, such as "a*b^2"; the empty product is "1"."""
+    return "*".join(
+        vars.names[i] if k == 1 else f"{vars.names[i]}^{k}"
+        for i, k in ((i, len(list(run))) for i, run in groupby(letters))
+    ) or "1"
+
+
 def poly_str(f: CommPoly) -> str:
     return terms_str(
-        (f.terms[e], "*".join(n if k == 1 else f"{n}^{k}"
-                              for n, k in zip(f.vars.names, e) if k) or "1")
+        (f.terms[e], word_str(f.vars, CommPoly._letters(e)))
         for e in sorted(f.terms, key=lambda e: (sum(e), e), reverse=True)
     )
 
@@ -447,51 +460,80 @@ def _int_spoly(a, b, m: Exponents) -> tuple[dict[Exponents, int], int]:
     return work, scale
 
 
-def _reduce(work: dict, scale: int, reducers: Sequence, order: GrlexOrder):
-    """The integer kernel: (rem, scale) with rem/scale the remainder of
-    work/scale by ``reducers`` under ``order``, largest term first; ``work``
-    is used up.  Each step replaces the largest term by terms below it, so
-    under a :class:`LocalOrder` every term it adds has a degree at least its
-    own, and the finitely many terms below the cut bound the steps.
+def _rewrite(work: dict, scale: int, divide: Callable, product: Callable,
+             heap_key: Callable, degree: Callable, cut: Optional[int]):
+    """The one normal-form kernel of both engines, the reduction of the
+    diamond lemma (Bergman, Adv. Math. 29, 1978; Mora, TCS 134, 1994):
+    ``(rem, scale, steps, truncated)`` with rem/scale the remainder of
+    work/scale; ``work`` is used up.
 
-    Reducing a term c*x^e by a reducer (lead, L, tail) with g = gcd(L, c)
-    and x^q * lead = x^e multiplies ``work`` and ``scale`` by L/g and
-    subtracts (c/g)*x^q*tail: L/g times the step over Q, so each term stays
-    exact over ``scale``.  A term no lead divides is final, as no later step
-    reaches it; it keeps the scale it had then until one rescaling at the
-    end.  Pending terms wait in a heap of ``order.heap_key``; a term that
-    cancels stays there as a zero."""
-    heap_key, cut = order.heap_key, order.cut
-    rem: dict[Exponents, tuple[int, int]] = {}
-    heap = [(heap_key(e), e) for e in work]
+    ``divide(t)`` is None for an irreducible term t, else ``(reducer, ctx)``
+    with a reducer (lead, L, tail), L*h = L*lead + tail for an element h,
+    and ``product(ctx, lead) == t``.  It is called once per term, when the
+    term enters ``work``; only reducible terms are heaped, by ``heap_key``,
+    and irreducible ones stay in ``work`` as the remainder.  Each step pops
+    the largest reducible term c*t, of the smallest key, and with
+    g = gcd(L, c) multiplies ``work`` and ``scale`` by L/g and adds
+    -(c/g)*k*product(ctx, m) for each term k*m of the tail, recording
+    ``(c, scale, ctx)`` with the scale before the step.  The terms it adds
+    lie below t, so no term is rewritten twice; one that cancels stays in
+    the heap as a zero.  Terms t with ``degree(t) >= cut`` are dropped, and
+    ``truncated`` says whether any was.
+    """
+    truncated = False
+    if cut is not None:
+        size = len(work)
+        work = {t: c for t, c in work.items() if degree(t) < cut}
+        truncated = len(work) < size
+    heap = []
+    for t in work:
+        d = divide(t)
+        if d is not None:
+            heap.append((heap_key(t), t, d))
     heapify(heap)
+    steps = []
     while heap:
-        e = heappop(heap)[1]
-        c = work.pop(e)
+        _, t, ((_, L, tail), ctx) = heappop(heap)
+        c = work.pop(t)
         if not c:
             continue
-        if cut is not None and sum(e) >= cut:
-            break  # it is of the lowest degree left, so every term is cut
-        for ge, L, tail in reducers:
-            if _exps_divides(ge, e):
-                g = gcd(L, c)
-                if g != L:
-                    a = L // g
-                    scale *= a
-                    work = {t: v * a for t, v in work.items()}
-                b = c // g
-                qe = _exps_div(e, ge)
-                for te, tc in tail:
-                    ne = _exps_mul(qe, te)
-                    if ne in work:
-                        work[ne] -= b * tc
-                    else:
-                        work[ne] = -b * tc
-                        heappush(heap, (heap_key(ne), ne))
-                break
-        else:
-            rem[e] = c, scale
-    return {e: c * (scale // s) for e, (c, s) in rem.items()}, scale
+        steps.append((c, scale, ctx))
+        g = gcd(L, c)
+        if g != L:
+            a = L // g
+            scale *= a
+            for m in work:
+                work[m] *= a
+        b = c // g
+        for m, k in tail:
+            n = product(ctx, m)
+            if n in work:
+                work[n] -= b * k
+            elif cut is not None and degree(n) >= cut:
+                truncated = True
+            else:
+                work[n] = -b * k
+                d = divide(n)
+                if d is not None:
+                    heappush(heap, (heap_key(n), n, d))
+    return {t: c for t, c in work.items() if c}, scale, steps, truncated
+
+
+def _reduce(work: dict, scale: int, reducers: Sequence, order: GrlexOrder):
+    """(rem, scale) of :func:`_rewrite`, whose divisor of a term is the first
+    reducer whose lead divides it.  Under a :class:`LocalOrder` a step adds
+    terms of total degree at least that of the term it rewrites, so the
+    finitely many terms below the cut bound the steps."""
+
+    def divide(e: Exponents):
+        for r in reducers:
+            if all(map(le, r[0], e)):  # _exps_divides, inlined: most tests fail
+                return r, _exps_div(e, r[0])
+        return None
+
+    rem, scale, _, _ = _rewrite(work, scale, divide, _exps_mul, order.heap_key,
+                                sum, order.cut)
+    return rem, scale
 
 
 def normal_form(f: CommPoly, gb: CommGB) -> CommPoly:
@@ -515,13 +557,14 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
     counts as coprime: its S-polynomial is zero, so it is never queued but
     still serves the M and F criteria as a witness (Gebauer and Moeller,
     JSC 6, 1988).  The queued pair with the lowest sugar degree, and among
-    those the smallest lcm under ``order.key``, is reduced next by the
-    kernel :func:`_reduce` over the live elements only: a retired lead is a
+    those the smallest lcm under ``order.key``, is reduced next by
+    :func:`_reduce` over the live elements only: a retired lead is a
     multiple of a live one, so the reducible terms are the same.  On a
     homogeneous ideal the sugar degree is the degree of the lcm.
 
     The loop runs over the integers: an element is only its reducer, made
-    from a remainder by :func:`_primitive`, an S-polynomial is built from two
+    from a remainder and its largest term under ``order`` by
+    :func:`_primitive`, an S-polynomial is built from two
     reducers by :func:`_int_spoly`, and ``Fraction``s are built only for the
     inter-reduced basis returned.
 
@@ -586,7 +629,7 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
         sugar, _, i, j, m = heappop(queue)
         rem, _ = _reduce(*_int_spoly(reducers[i], reducers[j], m), active, order)
         if rem:
-            add(_primitive(next(iter(rem)), rem), sugar)
+            add(_primitive(max(rem, key=order.key), rem), sugar)
     # inter-reduce to the unique reduced basis.  Every element left out of
     # ``live`` has a lead divisible by a live one, and live leads are distinct.
     tails = [reducers[k] for k in live
@@ -599,8 +642,10 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
         reduced[e] = CommPoly(order.vars, {
             e: Fraction(1), **{t: Fraction(c, scale) for t, c in rem.items()}})
     if cut is not None:
-        for e in _standard_levels(len(order.vars), [r[0] for r in tails], cut)[cut]:
-            reduced[e] = CommPoly.monomial(order.vars, e)
+        levels = _standard_monomials(len(order.vars), [r[0] for r in tails], cut + 1)
+        for level in levels[cut:]:
+            for e in level:
+                reduced[e] = CommPoly.monomial(order.vars, e)
     return CommGB([reduced[e] for e in sorted(reduced)], order)
 
 
@@ -611,37 +656,43 @@ class QuotientBasis:
     dim: int
 
 
-def _standard_levels(
-    nvars: int, leads: Sequence[Exponents], maxdeg: int
-) -> list[list[Exponents]]:
-    """Monomials that no lead divides, by total degree: ``levels[d]`` for
-    d <= maxdeg, each sorted.
-
-    Every monomial of degree d+1 is a monomial of degree d times a variable,
-    and a lead dividing the smaller one divides the larger, so extending only
-    the standard monomials of degree d reaches every one of degree d+1.
+def _standard_levels(root, children: Callable, standard: Callable,
+                     depth: Optional[int], key: Optional[Callable] = None) -> list[list]:
+    """The standard monomials (or words) from ``root`` up: ``levels[d]``
+    lists those of degree d, sorted by ``key``, up to ``depth`` levels (None
+    for no limit) or the first empty level.  Every monomial of degree d+1
+    is one of the ``children`` of one of degree d, and a lead dividing the
+    smaller one divides the larger, so extending only the standard monomials
+    of degree d reaches every one of degree d+1.
     """
-    levels: list[list[Exponents]] = []
-    cands = {(0,) * nvars}
-    for _ in range(maxdeg + 1):
-        levels.append(
-            sorted(e for e in cands if not any(_exps_divides(l, e) for l in leads))
-        )
-        cands = {e[:i] + (e[i] + 1,) + e[i + 1:]
-                 for e in levels[-1] for i in range(nvars)}
+    levels: list[list] = []
+    level = [root] if standard(root) else []
+    while level and len(levels) != depth:
+        levels.append(sorted(level, key=key))
+        level = [m for m in {c for m in level for c in children(m)} if standard(m)]
     return levels
+
+
+def _standard_monomials(nvars: int, leads: Sequence[Exponents], depth: int):
+    """:func:`_standard_levels` of the monomials that no lead divides."""
+    return _standard_levels(
+        (0,) * nvars,
+        lambda e: (e[:i] + (e[i] + 1,) + e[i + 1:] for i in range(nvars)),
+        lambda e: not any(_exps_divides(l, e) for l in leads),
+        depth,
+    )
 
 
 def quotient_basis(gb: CommGB, bound: int) -> QuotientBasis:
     """Order-irreducible monomials of total degree < bound.
 
     ``finite`` requires no irreducible monomial at the top two degrees
-    examined (bound-2 and bound-1).
+    examined (bound-2 and bound-1), that is, an empty level by bound-2.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    levels = _standard_levels(len(gb.order.vars), gb.leads, bound - 1)
-    finite = bound >= 2 and not levels[-1] and not levels[-2]
+    levels = _standard_monomials(len(gb.order.vars), gb.leads, bound)
+    finite = len(levels) <= bound - 2
     monomials = [e for level in levels for e in level]
     return QuotientBasis(monomials, finite, len(monomials))
 

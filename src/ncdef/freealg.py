@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Sequence
 
-from .commpoly import CommPoly, Poly, VarSet, rational, terms_str
+from .commpoly import CommPoly, Poly, VarSet, rational, terms_str, word_str
 
 Word = tuple[int, ...]
 
@@ -93,20 +93,6 @@ def word_weight(gens: GenSet, w: Word) -> int:
     return sum(map(gens.weights.__getitem__, w))
 
 
-def word_str(gens: GenSet, w: Word) -> str:
-    if not w:
-        return "1"
-    parts: list[tuple[int, int]] = []  # (letter, multiplicity)
-    for i in w:
-        if parts and parts[-1][0] == i:
-            parts[-1] = (i, parts[-1][1] + 1)
-        else:
-            parts.append((i, 1))
-    return "*".join(
-        gens.names[i] if k == 1 else f"{gens.names[i]}^{k}" for i, k in parts
-    )
-
-
 class NcOrder:
     """Total multiplicative word order; ``wdeglex`` compares weighted degree,
     then length, then the central exponent vector, then the letter tuple."""
@@ -117,6 +103,9 @@ class NcOrder:
         self.gens = gens
         self.mode = mode
         self._central_idx = [i for i, c in enumerate(gens.central) if c]
+        n = len(gens)
+        self._heap_letter = [i if c else 2 * n - i
+                             for i, c in enumerate(gens.central)].__getitem__
         # the degree a truncation cuts by; bound once, as every reduction
         # calls it for every word it creates
         self.degree: Callable[[Word], int] = (
@@ -134,6 +123,16 @@ class NcOrder:
         largest word), so rewriting pushes terms up in degree and truncation
         guarantees termination."""
         return (-self.degree(w), len(w), self._cvec(w), word_split(self.gens, w)[1])
+
+    def heap_key(self, w: Word):
+        """:meth:`rule_key` reversed, so a min-heap of these pops the word of
+        the largest rule key first.  Between words of one degree and length,
+        the sorted central prefix is smaller exactly when the central
+        exponent vector is larger; each noncommutative letter i stands as
+        2n - i, above every central letter (so a shorter prefix ends as if
+        by a sentinel) and in reverse order, which reverses the order of the
+        noncommutative parts."""
+        return (self.degree(w), -len(w), *map(self._heap_letter, w))
 
 
 # -- polynomials ------------------------------------------------------------

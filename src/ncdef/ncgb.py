@@ -20,10 +20,11 @@ two-sided combination of the original relations, which lets
 Provenance is folded only for a pair that becomes a rule: pairs which reduce
 to zero never build one.
 
-Completion runs over ``int``s: every normal form goes through one integer
-kernel, :func:`_reduce`, with one running scale, provenance is folded into
-integer accumulators, and ``Fraction``s are built only for a new rule's tail
-and the public views.  A :class:`TruncatedGB` caches, per word, which active
+Completion runs over ``int``s: every normal form goes through the one
+kernel :func:`~ncdef.commpoly._rewrite`, by :func:`_reduce`, with one
+running scale, provenance is folded into integer accumulators, and
+``Fraction``s are built only for a new rule's tail and the public views.  A
+:class:`TruncatedGB` caches, per word, which active
 rule divides it and where; completion clears the cache whenever a rule is
 added or retired, so the many reductions between two such changes divide
 each word only once.  There is one division search, :func:`find_division`:
@@ -42,7 +43,8 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .commpoly import (GrlexOrder, InternalConsistencyError, LocalReport, VarSet,
-                       _cleared, graded_dims, local_report, stable_tower, substitute)
+                       _cleared, _rewrite, _standard_levels, graded_dims, local_report,
+                       stable_tower, substitute)
 from .freealg import (
     GenSet,
     NcOrder,
@@ -101,8 +103,10 @@ class RewriteRule:
 
     ``exact`` means the provenance identity holds on the nose (no word was
     dropped by truncation anywhere in the rule's derivation).  Setting
-    ``tail`` sets ``red`` = (R, L), the tail as R/L over the ints, and
-    ``prov`` is the view of the accumulator ``acc`` (None without provenance).
+    ``tail`` sets ``red``, the rule's integer reducer (lead, L, R) in the
+    convention of :class:`~ncdef.commpoly.CommGB`: L*(lead - tail) =
+    L*lead + R, with R a list of (word, int) terms.  ``prov`` is the view of
+    the accumulator ``acc`` (None without provenance).
     """
 
     __slots__ = ("lead", "_tail", "red", "acc", "exact", "idx", "active",
@@ -120,7 +124,8 @@ class RewriteRule:
         self.active = True
 
     def _set_tail(self, tail: NcPoly) -> None:
-        self._tail, self.red = tail, _cleared(tail)
+        work, L = _cleared(tail)
+        self._tail, self.red = tail, (self.lead, L, [(w, -c) for w, c in work.items()])
 
     tail = property(lambda self: self._tail, _set_tail)
     prov = property(lambda self: _prov_view(self.acc))
@@ -205,77 +210,37 @@ class ReduceResult:
 
 
 def _reduce(work: dict[Word, int], scale: int, gb: TruncatedGB):
-    """The integer kernel: ``(rem, scale, trace, truncated)`` with rem/scale
-    the normal form of work/scale modulo the active rules and the cutoff.
-
-    Each step rewrites the reducible term with the largest rule key (the
-    lowest-degree one), using the lowest-index applicable rule at its leftmost
-    occurrence: on a term c, with the rule's ``red`` (R, L) and g = gcd(L, c),
-    it multiplies ``work`` and ``scale`` by L/g and adds (c/g) * u * R * v,
-    and it records ``(c, scale, u, rule index, v)`` in the trace.  Words of
-    order degree >= ``trunc`` are dropped and recorded in ``truncated``.
-    Which rule divides a word, and where, is looked up in ``gb.reductions``
-    and searched only for words not seen since the active rules last changed;
-    the rule key is computed once per call, and only for the reducible words.
-
-    The rule key is multiplicative, so a step creates only words whose key
-    is below that of the word it rewrote; as the largest reducible key is
-    always taken, each word is rewritten at most once, with its whole
-    accumulated coefficient.
+    """``(rem, scale, trace, truncated)`` of :func:`~ncdef.commpoly._rewrite`
+    modulo the active rules and the cutoff, each step c * u * rule_i * v in
+    the trace as ``(c, scale, u, i, v)``.  A word's divisor is its division
+    (rule, u, v) in ``gb.reductions``, searched by :func:`find_division`
+    only for a word not seen since the active rules last changed, and the
+    product with a tail word t is u*t*v.  ``NcOrder.heap_key`` reverses the
+    multiplicative rule key, so each step rewrites the reducible word of the
+    largest rule key (the lowest-degree one).
     """
-    gens, cache, rule_key = gb.gens, gb.reductions, gb.order.rule_key
-    degree, trunc = gb.order.degree, gb.trunc
+    gens, cache = gb.gens, gb.reductions
     active: Optional[list[RewriteRule]] = None
-    keys: dict[Word, tuple] = {}  # rule keys of the reducible words seen
-    size = len(work)
-    work = {w: c for w, c in work.items() if degree(w) < trunc}
-    truncated = len(work) < size
-    trace: list[tuple[int, int, Word, int, Word]] = []
-    while True:
-        best = best_w = best_k = None
-        for w in work:
-            hit = cache.get(w, _UNSEEN)
-            if hit is _UNSEEN:
-                if active is None:
-                    active = gb.active_rules()
-                hit = cache[w] = find_division(gens, active, w)
-            if hit is None:
-                continue
-            k = keys.get(w)
-            if k is None:
-                k = keys[w] = rule_key(w)
-            if best is None or k > best_k:
-                best, best_w, best_k = hit, w, k
-        if best is None:
-            break
-        rule, u, v = best
-        c = work.pop(best_w)
-        trace.append((c, scale, u, rule.idx, v))
-        tail, L = rule.red
-        g = gcd(L, c)
-        if g != L:
-            a = L // g
-            scale *= a
-            for w in work:
-                work[w] *= a
-        b = c // g
-        for tw, tc in tail.items():
-            nw = word_mul(gens, word_mul(gens, u, tw), v)
-            if degree(nw) >= trunc:
-                truncated = True
-                continue
-            t = b * tc
-            if nw not in work:
-                work[nw] = t
-            elif nv := work[nw] + t:
-                work[nw] = nv
-            else:
-                del work[nw]
-    return work, scale, trace, truncated
+
+    def divide(w: Word):
+        nonlocal active
+        hit = cache.get(w, _UNSEEN)
+        if hit is _UNSEEN:
+            if active is None:
+                active = gb.active_rules()
+            hit = cache[w] = find_division(gens, active, w)
+        return hit and (hit[0].red, hit)
+
+    def product(hit, t: Word) -> Word:
+        return word_mul(gens, word_mul(gens, hit[1], t), hit[2])
+
+    rem, scale, steps, truncated = _rewrite(work, scale, divide, product,
+                                            gb.order.heap_key, gb.order.degree, gb.trunc)
+    return rem, scale, [(c, s, u, r.idx, v) for c, s, (r, u, v) in steps], truncated
 
 
 def nc_reduce(f: NcPoly, gb: TruncatedGB) -> ReduceResult:
-    """Normal form of ``f`` by the kernel :func:`_reduce`, in ``Fraction``s:
+    """Normal form of ``f`` by :func:`_reduce`, in ``Fraction``s:
     its trace records each step c * u * rule_i * v as ``(c, u, i, v)``."""
     rem, scale, trace, truncated = _reduce(*_cleared(f), gb)
     poly = NcPoly(gb.gens, {w: Fraction(c, scale) for w, c in rem.items()})
@@ -366,7 +331,7 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         A ``comb`` item is a two-sided combination  sum c * u * rule_i * v
         of rules whose leads cancel (critical pairs, central-letter pairs),
         as raw trace steps ``(c, 1, u, i, v)``; its polynomial is what
-        remains,  -sum c * u * tail_i * v, over the lcm of the rules' L.
+        remains,  sum c * u * R_i * v / L_i, over the lcm of the rules' L.
         """
         if item[0] == "poly":
             _, work, scale, _, exact = item
@@ -375,9 +340,9 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         scale = lcm(*(gb.rules[i].red[1] for _, _, _, i, _ in combo))
         work: dict[Word, int] = {}
         for c, _, u, i, v in combo:  # every c is 1 or -1
-            tail, L = gb.rules[i].red
-            k = -c * (scale // L)
-            for tw, tc in tail.items():
+            _, L, tail = gb.rules[i].red
+            k = c * (scale // L)
+            for tw, tc in tail:
                 w = word_mul(gens, word_mul(gens, u, tw), v)
                 work[w] = work[w] + k * tc if w in work else k * tc
         return {w: c for w, c in work.items() if c}, scale, _fold_trace(gb, combo, None, 1)
@@ -454,18 +419,19 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         for r in gb.rules:
             if r.active and r is not new and find_division(gens, (new,), r.lead):
                 r.active = False
-                rtail, L = r.red
-                work = {r.lead: L, **{w: -c for w, c in rtail.items()}}
-                push(len(r.lead), ("poly", work, L, r.acc, r.exact))
+                _, L, rtail = r.red
+                push(len(r.lead), ("poly", dict([(r.lead, L), *rtail]), L, r.acc, r.exact))
         gb.reductions.clear()  # the active rules changed
-        # keep the remaining tails in normal form
+        # keep the remaining tails in normal form: with R/L the rule's
+        # polynomial less its lead, the new one is lead + NF(R/L)
         for r in gb.rules:
             if not r.active or r is new:
                 continue
-            rem, scale, trace, truncated = _reduce(*r.red, gb)
+            _, L, rtail = r.red
+            rem, scale, trace, truncated = _reduce(dict(rtail), L, gb)
             if trace or truncated:
-                r.tail = NcPoly(gens, {w: Fraction(c, scale) for w, c in rem.items()})
-                r.exact = _fold_trace(gb, trace, r.acc, 1) and r.exact and not truncated
+                r.tail = NcPoly(gens, {w: Fraction(-c, scale) for w, c in rem.items()})
+                r.exact = _fold_trace(gb, trace, r.acc, -1) and r.exact and not truncated
         for r in gb.rules:
             if not r.active:
                 continue
@@ -484,23 +450,20 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
 
 def _irreducible_words(gb: TruncatedGB) -> list[Word]:
     """All rule-irreducible canonical words of degree < trunc, shortest
-    first, each length in word order.
-
-    Every word of length k+1 extends a word of length k by one letter, of
-    no larger degree, and a rule dividing the shorter word divides the
-    longer one, so extending only the irreducible words below the cut
-    reaches them all.  No rule has the empty lead, so the empty word is
-    irreducible.
+    first, each length in word order, by
+    :func:`~ncdef.commpoly._standard_levels`: every word of length k+1
+    extends a word of length k, of no larger degree, by one letter.
     """
     gens, rules, degree = gb.gens, gb.active_rules(), gb.order.degree
-    words: list[Word] = []
-    level: list[Word] = [()]
-    while level:
-        words.extend(sorted(level, key=gb.order.key))
-        longer = {word_mul(gens, w, (g,)) for w in level for g in range(len(gens.names))}
-        level = [u for u in longer
-                 if degree(u) < gb.trunc and find_division(gens, rules, u) is None]
-    return words
+    letters = [(g,) for g in range(len(gens.names))]
+    levels = _standard_levels(
+        (),
+        lambda w: (word_mul(gens, w, x) for x in letters),
+        lambda w: degree(w) < gb.trunc and find_division(gens, rules, w) is None,
+        None,
+        gb.order.key,
+    )
+    return [w for level in levels for w in level]
 
 
 @dataclass

@@ -20,6 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .commpoly import substitute
@@ -354,13 +357,16 @@ def claimed_relation_readings(l: int) -> list[list[tuple[str, NcPoly]]]:
     t, b, c = (NcPoly.gen(g, n) for n in ("t", "b", "c"))
     u = {int(n[1:]): NcPoly.gen(g, n) for n in g.names if n.startswith("u")}
     bc = b * c - c * b
-    # w - reverse(w) summed over the words w = b*m*c of length 4
-    deg4 = (
-        b ** 3 * c - c * b ** 3
-        + b * b * c * c - c * c * b * b
-        + b * c * b * c - c * b * c * b
-        + b * c ** 3 - c ** 3 * b
-    )
+
+    def skew_sum(first: NcPoly, last: NcPoly, k: int) -> NcPoly:
+        """w - reverse(w) summed over the words w = first*m*last, m in {b, c}^k."""
+        out = NcPoly.zero(g)
+        for m in product((b, c), repeat=k):
+            w = (first, *m, last)
+            out = out + reduce(mul, w) - reduce(mul, w[::-1])
+        return out
+
+    deg4 = skew_sum(b, c, 2)
     if l == 2:
         return [
             [("literal", t * b * c - t * c * b)],
@@ -419,40 +425,8 @@ def claimed_relation_readings(l: int) -> list[list[tuple[str, NcPoly]]]:
         ]
     # l == 6
     sym = b * b * c - c * b * b + b * c * c - c * c * b
-    deg5 = (
-        c ** 4 * b - b * c ** 4
-        + c ** 3 * b * b - b * b * c ** 3
-        + c * c * b * c * b - b * c * b * c * c
-        + c * b * c * c * b - b * c * c * b * c
-        + c * c * b ** 3 - b ** 3 * c * c
-        + c * b * c * b * b - b * c * b * b * c
-        + c * b * b * c * b - b * b * c * b * c
-        + c * b ** 4 - b ** 4 * c
-    )
-    deg6 = (
-        -(b ** 5 * c - c * b ** 5)
-        + (
-            b ** 4 * c * c - c * c * b ** 4
-            + b ** 3 * c * b * c - c * b * c * b ** 3
-            + b * c * b ** 3 * c - c * b ** 3 * c * b
-            + b * b * c * b * b * c - c * b * b * c * b * b
-        )
-        + (
-            b ** 3 * c ** 3 - c ** 3 * b ** 3
-            + b * b * c * b * c * c - c * b * c * c * b * b
-            + b * b * c * c * b * c - c * c * b * c * b * b
-            + b * c * b * b * c * c - c * b * b * c * c * b
-            + b * c * c * b * b * c - c * c * b * b * c * b
-            + b * c * b * c * b * c - c * b * c * b * c * b
-        )
-        + (
-            b * b * c ** 4 - c ** 4 * b * b
-            + b * c * b * c ** 3 - c * b * c ** 3 * b
-            + b * c * c * b * c * c - c * c * b * c * c * b
-            + b * c ** 3 * b * c - c ** 3 * b * c * b
-        )
-        + (b * c ** 5 - c ** 5 * b)
-    )
+    deg5 = skew_sum(c, b, 3)
+    deg6 = skew_sum(b, c, 4) - (b ** 5 * c - c * b ** 5).scale(2)
     literal3 = (
         (
             -(t ** 4).scale(Fraction(5, 6 ** 4))

@@ -265,7 +265,8 @@ def test_monomials_of_degree_is_the_top_unrestricted_standard_level():
     for n in range(1, 5):
         vars = varset(*XYZW.names[:n])
         for d in range(11):
-            assert monomials_of_degree(vars, d) == commpoly._standard_levels(n, (), d)[d]
+            top = commpoly._standard_monomials(n, (), d + 1)[d]
+            assert monomials_of_degree(vars, d) == top
 
 
 def test_local_report_artinian_pair():
@@ -511,6 +512,20 @@ def _commpoly_bases_text():
 
 def test_reduced_bases_match_pinned():
     assert _commpoly_bases_text() == COMMPOLY_BASES.read_text(encoding="utf-8")
+
+
+def test_groebner_leads_do_not_depend_on_the_remainder_order(monkeypatch):
+    """groebner takes a new element's lead by the order, not by where the
+    kernel puts it in the remainder: with every remainder reversed the
+    pinned bases come out the same."""
+    inner = commpoly._reduce
+
+    def reversed_remainder(work, scale, reducers, order):
+        rem, scale = inner(work, scale, reducers, order)
+        return dict(reversed(rem.items())), scale
+
+    monkeypatch.setattr(commpoly, "_reduce", reversed_remainder)
+    test_reduced_bases_match_pinned()
 
 
 if __name__ == "__main__":

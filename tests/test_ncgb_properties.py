@@ -7,7 +7,8 @@ that keeps nothing between steps.  The division search
 substring and multiset tests, must pick the rule and the division that the
 oracle's letter-by-letter scan finds.  While completion runs, every cached
 division must be the one the oracle finds.  The integer provenance fold,
-read as ``Fraction``s, must equal the oracle's ``Fraction`` fold.
+read as ``Fraction``s, must equal the oracle's ``Fraction`` fold.  The
+kernel's heap key must order words as the rule key does, reversed.
 """
 
 import functools
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncdef import ncgb
 from ncdef.exprparse import presentation_parse
-from ncdef.freealg import NcPoly, canon_word, genset, word_mul
+from ncdef.freealg import NcOrder, NcPoly, canon_word, genset, word_mul
 from ncdef.ncgb import (
     RewriteRule,
     _fold_trace,
@@ -81,6 +82,29 @@ def test_cached_reduction_matches_full_rescan(case):
         assert red.poly == poly
         assert red.trace == trace
         assert red.truncated == truncated
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_heap_key_reverses_the_rule_key(data):
+    """Over 2-4 generators with 0-2 of them central and weights 1-3, under
+    both orders: heap_key(a) < heap_key(b) exactly when rule_key(a) >
+    rule_key(b), and the heap keys of distinct words differ.  The second
+    word is often a rearrangement of the first, of the same degree and
+    length."""
+    n = data.draw(st.integers(2, 4))
+    names = [f"g{i}" for i in range(n)]
+    gens = genset(names,
+                  data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
+                  data.draw(st.lists(st.sampled_from(names), max_size=2, unique=True)))
+    order = NcOrder(gens, data.draw(st.sampled_from(["deglex", "wdeglex"])))
+    letters = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+    a = canon_word(gens, letters)
+    b = canon_word(gens, data.draw(
+        st.permutations(letters) | st.lists(st.integers(0, n - 1), max_size=6)))
+    assert ((order.heap_key(a) < order.heap_key(b))
+            == (order.rule_key(a) > order.rule_key(b)))
+    assert (order.heap_key(a) == order.heap_key(b)) == (a == b)
 
 
 @st.composite
