@@ -27,6 +27,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from typing import Any, Optional
 
 from . import __version__
@@ -279,9 +280,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"ncdef: error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser; an omitted ``--max-degree`` parses to None
-    and :func:`run_command` fills it in from the environment."""
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every :func:`run_command` shares it.  An omitted
+    ``--max-degree`` parses to None and :func:`run_command` fills it in
+    from the environment."""
     top = _Parser(prog="ncdef", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="subcommand", required=True)

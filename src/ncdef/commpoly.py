@@ -656,31 +656,59 @@ class QuotientBasis:
     dim: int
 
 
-def _standard_levels(root, children: Callable, standard: Callable,
-                     depth: Optional[int], key: Optional[Callable] = None) -> list[list]:
-    """The standard monomials (or words) from ``root`` up: ``levels[d]``
-    lists those of degree d, sorted by ``key``, up to ``depth`` levels (None
-    for no limit) or the first empty level.  Every monomial of degree d+1
-    is one of the ``children`` of one of degree d, and a lead dividing the
-    smaller one divides the larger, so extending only the standard monomials
-    of degree d reaches every one of degree d+1.
+def _standard_levels(root, children: Callable, parents: Callable, leads,
+                     inside: Callable, key: Optional[Callable] = None):
+    """``(levels, crossing)`` for the standard monomials (or words) from
+    ``root`` up, those that ``inside`` keeps and no lead divides: ``levels[d]``
+    lists those of d letters, sorted by ``key``, up to the first empty
+    level, and ``crossing`` lists the ``children`` of standard ones that
+    ``inside`` rejects.
+
+    ``children(m)`` makes each monomial exactly once, from its one parent
+    in the tree that ``children`` spans, and ``parents(m)`` lists every
+    monomial with one letter less that m is a multiple of in the sense of
+    division (the tree parent among them); ``inside`` must keep the parents
+    of what it keeps.  A candidate is standard when it is not one of the
+    ``leads`` (a set) and every one of its parents is standard, which needs
+    no division search: a lead that divides m but none of m's parents is m
+    itself.  For monomials, the exponents of a proper divisor l of m fall
+    short of m's in some variable, and m less one of that variable is still
+    a multiple of l.  For a canonical word m, a proper divisor either lacks
+    a central letter of m, and then m less that letter is a multiple, or
+    has m's central letters and a noncommutative part that is a proper
+    factor of m's, which m less its first or its last noncommutative letter
+    still contains.
     """
     levels: list[list] = []
-    level = [root] if standard(root) else []
-    while level and len(levels) != depth:
-        levels.append(sorted(level, key=key))
-        level = [m for m in {c for m in level for c in children(m)} if standard(m)]
-    return levels
+    crossing: list = []
+    level = [root] if inside(root) and root not in leads else []
+    while level:
+        level.sort(key=key)
+        levels.append(level)
+        prev, level = set(level), []
+        for m in levels[-1]:
+            for c in children(m):
+                if not inside(c):
+                    crossing.append(c)
+                elif c not in leads and prev.issuperset(parents(c)):
+                    level.append(c)
+    return levels, crossing
 
 
 def _standard_monomials(nvars: int, leads: Sequence[Exponents], depth: int):
-    """:func:`_standard_levels` of the monomials that no lead divides."""
-    return _standard_levels(
-        (0,) * nvars,
-        lambda e: (e[:i] + (e[i] + 1,) + e[i + 1:] for i in range(nvars)),
-        lambda e: not any(_exps_divides(l, e) for l in leads),
-        depth,
-    )
+    """The levels of :func:`_standard_levels` of the monomials of total
+    degree < ``depth`` that no lead divides.  A monomial's children raise
+    the exponent of its last variable or of a later one."""
+
+    def children(e: Exponents):
+        last = max((i for i, k in enumerate(e) if k), default=0)
+        return [e[:i] + (e[i] + 1,) + e[i + 1:] for i in range(last, nvars)]
+
+    def parents(e: Exponents):
+        return [e[:i] + (k - 1,) + e[i + 1:] for i, k in enumerate(e) if k]
+
+    return _standard_levels((0,) * nvars, children, parents, set(leads),
+                            lambda e: sum(e) < depth)[0]
 
 
 def quotient_basis(gb: CommGB, bound: int) -> QuotientBasis:
@@ -706,13 +734,17 @@ def graded_dims(degrees: Iterable[int]) -> list[int]:
 
 
 def stable_tower(cuts: Iterable[int], basis_at: Callable[[int], tuple]):
-    """Run the cuts until two consecutive ones give bases of equal size.
+    """Run the cuts until two consecutive ones give bases of equal size, or
+    until a cut other than the last is closed.
 
     ``basis_at(W)`` returns the standard words (or monomials) of I + F_W,
-    where F_W spans every word of degree >= W, and the state they came from.
-    Returns ``(certified_at, cut, basis, state)``: the first cut W whose
-    successor W' gives as many words (or None), the last cut run, and its
-    basis and state.  Consecutive cuts differ by at least the heaviest letter.
+    where F_W spans every word of degree >= W, the state they came from,
+    and whether W is closed: every child of a standard word that reaches
+    degree >= W is divisible by a lead.  Returns ``(certified_at, cut,
+    basis, state)``: the first cut W whose successor W' gives as many words,
+    or the first closed cut W before the last one (else None), the last cut
+    run, and its basis and state.  Consecutive cuts differ by at least the
+    heaviest letter.
 
     Let A_M = k<X>/(I + F_M) (or k[X]/(I + F_M)).  A_{W'} surjects onto A_W,
     so equal dimensions (the basis sizes) give I + F_W = I + F_{W'}.  Take a
@@ -724,10 +756,27 @@ def stable_tower(cuts: Iterable[int], basis_at: Callable[[int], tuple]):
     the tower is constant from W on.  Both bases are then the standard words
     of one ideal under one order, so bases of one size that differ as sets
     raise :class:`InternalConsistencyError`.
+
+    A closed cut W proves the same without a second cut and without
+    trusting that the leads are complete (Bergman, Adv. Math. 29, 1978).
+    Every word x of degree >= W contains a lead: on the path from the
+    empty word to x through the tree of ``children`` the degree rises, so
+    take the first word y on it of degree >= W; either a word before y is
+    not standard, and its lead divides x, or y is a crossing word, which a
+    lead divides.  Each rule lies in I + F_W and its lead, of degree < W,
+    is its lowest-degree term, so a word z = u*lead*v of degree >= W equals
+    u*tail*v modulo I + F_{deg(z) + 1}, where each tail word has z's degree
+    and is a smaller word, or has a higher degree.  A degree holds finitely
+    many words, so z lies in I + F_{deg(z) + 1}; hence F_M is inside
+    I + F_{M+1} for every M >= W, and the tower is constant from W on, as
+    above.  The successor of W would give the same basis, so the closed
+    test moves neither ``certified_at`` nor the basis; it is not applied at
+    the last cut, which has no successor to compare.
     """
+    cuts = list(cuts)
     prev = None
-    for cut in cuts:
-        basis, state = basis_at(cut)
+    for k, cut in enumerate(cuts):
+        basis, state, closed = basis_at(cut)
         if prev is not None and len(prev[1]) == len(basis):
             if set(prev[1]) != set(basis):
                 raise InternalConsistencyError(
@@ -735,6 +784,8 @@ def stable_tower(cuts: Iterable[int], basis_at: Callable[[int], tuple]):
                     "words each, but different ones"
                 )
             return prev[0], cut, basis, state
+        if closed and k + 1 < len(cuts):
+            return cut, cut, basis, state
         prev = (cut, basis)
     return None, cut, basis, state
 
@@ -769,9 +820,12 @@ def local_report(
     if maxN < 2:
         raise ValueError(f"the maximum cutoff must be >= 2, got {maxN}")
 
-    def basis_at(N: int) -> tuple[list[Exponents], CommGB]:
+    def basis_at(N: int) -> tuple[list[Exponents], CommGB, bool]:
         gb = groebner(gens, LocalOrder(order.vars, order.weights, cut=N))
-        return quotient_basis(gb, N).monomials, gb
+        # never closed: ``gb.basis`` lists the cut monomials of its cut, and
+        # ``zoo.invariant_table`` compares it across towers, so every tower
+        # stops the same way, one cut past the certifying one
+        return quotient_basis(gb, N).monomials, gb, False
 
     certified_at, _, basis, gb = stable_tower(range(2, maxN + 1), basis_at)
     status = "not-finite" if certified_at is None else "finite"

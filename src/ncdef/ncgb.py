@@ -24,23 +24,26 @@ Completion runs over ``int``s: every normal form goes through the one
 kernel :func:`~ncdef.commpoly._rewrite`, by :func:`_reduce`, with one
 running scale, provenance is folded into integer accumulators, and
 ``Fraction``s are built only for a new rule's tail and the public views.  A
-:class:`TruncatedGB` caches, per word, which active
-rule divides it and where; completion clears the cache whenever a rule is
-added or retired, so the many reductions between two such changes divide
-each word only once.  There is one division search, :func:`find_division`:
-each rule splits its lead once, into a multiset of central letters and a
-string key of its noncommutative letters, and the word is split and keyed
+:class:`TruncatedGB` caches, per word, which active rule divides it and
+where, together with how many rules that search has seen.  Completion
+clears the cache only before it returns: a rule added or retired just makes
+an entry resume its search at the first rule it has not seen, so the cache
+tries a word against each rule at most once per completion.  After a new
+rule, the kernel runs only on the tails that hold a word some active lead
+now divides.  There is one division search, :func:`find_division`: each
+rule splits its lead once, into the sorted tuple of its central letters and
+a string key of its noncommutative letters, and the word is split and keyed
 once per search, so trying a rule is a C-level substring search.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, Optional, Sequence
 
 from .commpoly import (GrlexOrder, InternalConsistencyError, LocalReport, VarSet,
                        _cleared, _rewrite, _standard_levels, graded_dims, local_report,
@@ -115,7 +118,7 @@ class RewriteRule:
     def __init__(self, lead: Word, tail: NcPoly, acc: list | None, exact: bool, idx: int):
         self.lead = lead
         lc, ln = word_split(tail.gens, lead)
-        self.lead_c = Counter(lc)  # central letters of the lead, as a multiset
+        self.lead_c = lc  # central letters of the lead, sorted
         self.lead_key = _word_key(ln)  # its noncommutative part
         self.tail = tail
         self.acc = acc
@@ -142,13 +145,17 @@ class RewriteRule:
 class TruncatedGB:
     """A rewriting system at cutoff ``trunc`` on the order's degree.
 
-    ``reductions`` caches, per word w, ``find_division(gens, active, w)``:
-    ``(rule, u, v)`` for the lowest-index active rule whose lead divides w
-    and its leftmost division ``w = u * rule.lead * v``, or None when no
-    active lead divides it.  An entry depends only on the leads and active
-    flags, so it is valid exactly while the set of active rules is
-    unchanged: whoever adds or retires a rule must clear it.  A changed tail
-    leaves it valid, since the tail is read only when a step is applied.
+    ``reductions`` maps a word w to ``(hit, seen)``: ``hit`` is ``(rule, u,
+    v)`` for the lowest-index active rule whose lead divides w and its
+    leftmost division ``w = u * rule.lead * v``, or None, as far as the
+    rules below index ``seen`` go; the search that made the entry tried
+    exactly those.  Leads never change, rules are only appended, and a rule
+    once retired stays retired, so the entry stays right for the rules it
+    has seen: :meth:`division` resumes it at ``seen`` when the hit has
+    retired (``seen`` is then the hit's index + 1) or when no rule below
+    ``seen`` divides w and rules were added since.  No one needs to clear
+    it; a changed tail leaves it valid too, since the tail is read only when
+    a step is applied.
     """
 
     gens: GenSet
@@ -156,11 +163,29 @@ class TruncatedGB:
     trunc: int
     rules: list[RewriteRule]
     reductions: dict[
-        Word, Optional[tuple[RewriteRule, Word, Word]]
+        Word, tuple[Optional[tuple[RewriteRule, Word, Word]], int]
     ] = field(default_factory=dict, repr=False, compare=False)
 
     def active_rules(self) -> list[RewriteRule]:
         return [r for r in self.rules if r.active]
+
+    def division(self, w: Word) -> Optional[tuple[RewriteRule, Word, Word]]:
+        """``find_division`` of w over the active rules, through
+        ``reductions``: a search runs only over the rules its entry has not
+        seen, and the entry records how far it got."""
+        hit, seen = self.reductions.get(w, _FRESH)
+        if hit is not None and hit[0].active:
+            return hit
+        n = len(self.rules)
+        if seen == n:
+            return None
+        hit = find_division(self.gens, filter(_ACTIVE, self.rules[seen:]), w)
+        self.reductions[w] = (hit, hit[0].idx + 1 if hit else n)
+        return hit
+
+
+_FRESH = (None, 0)  # the entry of a word no search has seen
+_ACTIVE = attrgetter("active")
 
 
 def _word_key(letters: Word) -> str:
@@ -168,8 +193,18 @@ def _word_key(letters: Word) -> str:
     return "".join(map(chr, letters))
 
 
+def _central_minus(a: Word, b: Word) -> Word:
+    """The multiset difference a - b of two sorted tuples of letters,
+    sorted."""
+    rest = list(a)
+    for x in b:
+        if x in rest:
+            rest.remove(x)
+    return tuple(rest)
+
+
 def find_division(
-    gens: GenSet, rules: Sequence[RewriteRule], w: Word
+    gens: GenSet, rules: Iterable[RewriteRule], w: Word
 ) -> Optional[tuple[RewriteRule, Word, Word]]:
     """The first rule of ``rules`` whose lead divides ``w``, with its
     leftmost division ``w = u * rule.lead * v``, as ``(rule, u, v)``; or None.
@@ -180,26 +215,18 @@ def find_division(
     """
     wc, wn = word_split(gens, w)
     key = _word_key(wn)
-    cnt = None
     for r in rules:
         i = key.find(r.lead_key)
         if i < 0:
             continue
-        if r.lead_c:
-            if cnt is None:
-                cnt = Counter(wc)
-            for x, k in r.lead_c.items():
-                if cnt[x] < k:
-                    break
-            else:
-                left = tuple(sorted((cnt - r.lead_c).elements()))
-                return r, left + wn[:i], wn[i + len(r.lead_key):]
-            continue
+        lc = r.lead_c
+        if lc:
+            left = _central_minus(wc, lc)
+            if len(left) + len(lc) != len(wc):
+                continue  # a central letter of the lead is missing from w
+            return r, left + wn[:i], wn[i + len(r.lead_key):]
         return r, wc + wn[:i], wn[i + len(r.lead_key):]
     return None
-
-
-_UNSEEN = object()  # marks a word missing from ``TruncatedGB.reductions``
 
 
 @dataclass
@@ -213,22 +240,15 @@ def _reduce(work: dict[Word, int], scale: int, gb: TruncatedGB):
     """``(rem, scale, trace, truncated)`` of :func:`~ncdef.commpoly._rewrite`
     modulo the active rules and the cutoff, each step c * u * rule_i * v in
     the trace as ``(c, scale, u, i, v)``.  A word's divisor is its division
-    (rule, u, v) in ``gb.reductions``, searched by :func:`find_division`
-    only for a word not seen since the active rules last changed, and the
-    product with a tail word t is u*t*v.  ``NcOrder.heap_key`` reverses the
+    (rule, u, v), by :meth:`TruncatedGB.division`, and the product with a
+    tail word t is u*t*v.  ``NcOrder.heap_key`` reverses the
     multiplicative rule key, so each step rewrites the reducible word of the
     largest rule key (the lowest-degree one).
     """
-    gens, cache = gb.gens, gb.reductions
-    active: Optional[list[RewriteRule]] = None
+    gens, division = gb.gens, gb.division
 
     def divide(w: Word):
-        nonlocal active
-        hit = cache.get(w, _UNSEEN)
-        if hit is _UNSEEN:
-            if active is None:
-                active = gb.active_rules()
-            hit = cache[w] = find_division(gens, active, w)
+        hit = division(w)
         return hit and (hit[0].red, hit)
 
     def product(hit, t: Word) -> Word:
@@ -358,13 +378,12 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
     def gen_pairs(rp: RewriteRule, rq: RewriteRule) -> None:
         """Queue the critical pairs of the ordered rule pair (rp, rq)."""
         cp, cq = rp.lead_c, rq.lead_c
-        pn = rp.lead[len(rp.lead) - len(rp.lead_key):]
-        qn = rq.lead[len(rq.lead) - len(rq.lead_key):]
-        shared = bool(cp & cq)
-        cmax = cp | cq
-        rest_p = tuple(sorted((cmax - cp).elements()))
-        rest_q = tuple(sorted((cmax - cq).elements()))
-        clen = sum(cmax.values())
+        pn = rp.lead[len(cp):]
+        qn = rq.lead[len(cq):]
+        # the central letters each lead lacks of the two leads' union
+        rest_p, rest_q = _central_minus(cq, cp), _central_minus(cp, cq)
+        shared = len(rest_q) < len(cp)
+        clen = len(cp) + len(rest_p)
 
         def emit(up, vp, uq, vq, wlen):
             push(wlen, ("comb", ((1, 1, uq, rq.idx, vq), (-1, 1, up, rp.idx, vp))))
@@ -421,13 +440,16 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
                 r.active = False
                 _, L, rtail = r.red
                 push(len(r.lead), ("poly", dict([(r.lead, L), *rtail]), L, r.acc, r.exact))
-        gb.reductions.clear()  # the active rules changed
         # keep the remaining tails in normal form: with R/L the rule's
-        # polynomial less its lead, the new one is lead + NF(R/L)
+        # polynomial less its lead, the new one is lead + NF(R/L).  A tail
+        # none of whose words an active lead divides is its own normal form
+        # (tails lie below the cut), so the kernel runs only on the others.
         for r in gb.rules:
             if not r.active or r is new:
                 continue
             _, L, rtail = r.red
+            if not any(gb.division(w) for w, _ in rtail):
+                continue
             rem, scale, trace, truncated = _reduce(dict(rtail), L, gb)
             if trace or truncated:
                 r.tail = NcPoly(gens, {w: Fraction(-c, scale) for w, c in rem.items()})
@@ -448,22 +470,39 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
     return gb
 
 
-def _irreducible_words(gb: TruncatedGB) -> list[Word]:
-    """All rule-irreducible canonical words of degree < trunc, shortest
-    first, each length in word order, by
-    :func:`~ncdef.commpoly._standard_levels`: every word of length k+1
-    extends a word of length k, of no larger degree, by one letter.
+def _irreducible_words(gb: TruncatedGB) -> tuple[list[Word], bool]:
+    """``(words, closed)``: all rule-irreducible canonical words of degree <
+    trunc, shortest first, each length in word order, by
+    :func:`~ncdef.commpoly._standard_levels`, and whether the cut is closed
+    (every crossing word, a child of one of them of degree >= trunc, is
+    divisible by an active lead; see :func:`~ncdef.commpoly.stable_tower`).
+    A word's children append a noncommuting letter, or, while it has none,
+    a central letter no smaller than its last; its parents drop one central
+    letter, or its first or its last noncommuting letter.
     """
     gens, rules, degree = gb.gens, gb.active_rules(), gb.order.degree
-    letters = [(g,) for g in range(len(gens.names))]
-    levels = _standard_levels(
-        (),
-        lambda w: (word_mul(gens, w, x) for x in letters),
-        lambda w: degree(w) < gb.trunc and find_division(gens, rules, w) is None,
-        None,
-        gb.order.key,
-    )
-    return [w for level in levels for w in level]
+    central = gens.central
+    nc = [(g,) for g, c in enumerate(central) if not c]
+    cen = [g for g, c in enumerate(central) if c]
+
+    def children(w: Word) -> list[Word]:
+        out = [w + x for x in nc]
+        if not w or central[w[-1]]:
+            out += [w + (y,) for y in cen if not w or y >= w[-1]]
+        return out
+
+    def parents(w: Word) -> list[Word]:
+        k = len(word_split(gens, w)[0])
+        out = [w[:i] + w[i + 1:] for i in range(k)]
+        if k < len(w):
+            out += (w[:k] + w[k + 1:], w[:-1])
+        return out
+
+    levels, crossing = _standard_levels(
+        (), children, parents, {r.lead for r in rules},
+        lambda w: degree(w) < gb.trunc, gb.order.key)
+    closed = all(find_division(gens, rules, w) for w in crossing)
+    return [w for level in levels for w in level], closed
 
 
 @dataclass
@@ -493,16 +532,19 @@ def quotient_report(
     < maxN.  ``certified_at`` and ``up_to`` are cuts, that is, order degrees.
 
     :func:`~ncdef.commpoly.stable_tower` runs the cuts and proves that equal
-    dimensions at consecutive cuts W and W + w certify the dimension.  The
-    basis, ``gb`` and ``up_to`` are the last cut's, W + w when certified.
+    dimensions at consecutive cuts W and W + w certify the dimension at W,
+    as does a closed cut W before the last one, with no cut past it run.
+    The basis, ``gb`` and ``up_to`` are the last cut's: W + w when equal
+    dimensions certify, W when its closed test does.
     """
     if maxN < 2:
         raise ValueError(f"the maximum cutoff must be >= 2, got {maxN}")
     step = max(p.gens.weights) if p.order == "wdeglex" else 1
 
-    def basis_at(N: int) -> tuple[list[Word], TruncatedGB]:
+    def basis_at(N: int) -> tuple[list[Word], TruncatedGB, bool]:
         gb = nc_complete(p, N, provenance=False)
-        return _irreducible_words(gb), gb
+        words, closed = _irreducible_words(gb)
+        return words, gb, closed
 
     certified_at, up_to, basis, gb = stable_tower(
         range(step + 1, step * (maxN - 1) + 2, step), basis_at

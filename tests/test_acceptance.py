@@ -282,7 +282,7 @@ def test_12_property_suites():
     # truncated basis counts are monotone in the cutoff
     from ncdef.ncgb import _irreducible_words
 
-    counts = [len(_irreducible_words(nc_complete(p, n))) for n in range(2, 9)]
+    counts = [len(_irreducible_words(nc_complete(p, n))[0]) for n in range(2, 9)]
     ok = ok and counts == sorted(counts)
 
     # certificate replay
@@ -303,7 +303,7 @@ def test_12_property_suites():
     ]
     for pres in corpus:
         for n in (4, 6, 8):
-            engine = len(_irreducible_words(nc_complete(pres, n)))
+            engine = len(_irreducible_words(nc_complete(pres, n))[0])
             ok = ok and engine == brute_force_dim(pres, n)
 
     _verdict(12, ok, "axioms, idempotence, monotonicity, certificates, oracle",

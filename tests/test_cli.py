@@ -345,7 +345,7 @@ def test_basis_mismatch_at_certifying_cuts_is_one_line_error(
     the certification proof: exit 2 with one error line, no traceback."""
     from ncdef import ncgb
 
-    monkeypatch.setattr(ncgb, "_irreducible_words", lambda gb: [(gb.trunc,)])
+    monkeypatch.setattr(ncgb, "_irreducible_words", lambda gb: ([(gb.trunc,)], False))
     f = tmp_path / "alg.txt"
     f.write_text("generators: a\nrelations: a^3\n")
     code, doc, cap = run(capsys, "gb", str(f), "--max-degree", "8")
@@ -477,3 +477,32 @@ def test_every_lambda_consumer_accepts_and_rejects_alike(n, lam, capsys):
                 assert got == error
             else:
                 assert "lambda" in got and "'sym'" in got
+
+
+def test_one_cached_parser_answers_like_fresh_ones(monkeypatch, capsys):
+    """``build_parser`` is built once per process; through that one parser
+    a usage error, then a valid call, then ``--version`` give the exit
+    codes, documents and output that a fresh parser per call gives."""
+    from ncdef import cli
+
+    calls = [
+        ["zoo", "laufer", "--n", "1", "--bogus"],
+        ["zoo", "laufer", "--n", "1", "--lambda", "0,0", "--max-degree", "8"],
+        ["--version"],
+    ]
+
+    def answers():
+        out = []
+        for argv in calls:
+            code, doc, cap = run(capsys, *argv)
+            out.append((code, doc and strip_timing(doc), cap.err,
+                        cap.out if doc is None else None))
+        return out
+
+    assert cli.build_parser() is cli.build_parser()
+    cached = answers()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert answers() == cached
+    assert [c[0] for c in cached] == [2, 0, 0]
+    assert cached[0][2].startswith("ncdef: error:") and cached[2][3].strip()

@@ -288,14 +288,15 @@ def test_local_report_rejects_max_cutoff_below_two():
             local_report(gens, GrlexOrder(XYZW), maxN)
 
 
-def _fake_tower(bases):
+def _fake_tower(bases, closed=()):
     """A ``basis_at`` that reads the basis at each cut from ``bases`` and
-    logs the cuts it is asked for; the state is a label of the cut."""
+    logs the cuts it is asked for; the state is a label of the cut, and the
+    cuts in ``closed`` are closed."""
     asked = []
 
     def basis_at(cut):
         asked.append(cut)
-        return bases[cut], f"state {cut}"
+        return bases[cut], f"state {cut}", cut in closed
 
     return basis_at, asked
 
@@ -322,6 +323,32 @@ def test_stable_tower_equal_counts_with_different_words_raise():
     with pytest.raises(InternalConsistencyError, match="cuts 3 and 4 give 2"):
         stable_tower([2, 3, 4, 5], basis_at)
     assert asked == [2, 3, 4]
+
+
+def test_stable_tower_certifies_a_closed_cut_at_once():
+    """A closed cut before the last one certifies itself: no cut past it
+    runs, and the basis and state are its own."""
+    bases = {2: ["1"], 3: ["1", "x"], 5: ["1", "x", "y"], 7: ["1", "x", "y"]}
+    basis_at, asked = _fake_tower(bases, closed={5})
+    assert stable_tower([2, 3, 5, 7], basis_at) == (5, 5, bases[5], "state 5")
+    assert asked == [2, 3, 5]
+
+
+def test_stable_tower_tests_equal_counts_before_the_closed_cut():
+    """Equal counts at W and W' certify W even when W' is closed."""
+    bases = {2: ["1"], 3: ["1", "x"], 4: ["x", "1"], 5: ["1", "x"]}
+    basis_at, asked = _fake_tower(bases, closed={4})
+    assert stable_tower([2, 3, 4, 5], basis_at) == (3, 4, bases[4], "state 4")
+    assert asked == [2, 3, 4]
+
+
+def test_stable_tower_never_certifies_the_last_cut_by_the_closed_test():
+    """The last cut has no successor that equal counts could compare, so
+    a closed last cut leaves the tower uncertified."""
+    bases = {N: list(range(N)) for N in range(2, 6)}
+    basis_at, asked = _fake_tower(bases, closed={5})
+    assert stable_tower(range(2, 6), basis_at) == (None, 5, bases[5], "state 5")
+    assert asked == [2, 3, 4, 5]
 
 
 def test_local_report_keeps_the_reduced_basis_of_its_last_cut():

@@ -16,7 +16,7 @@ order, and the reducer made from a remainder against the one of its monic
 multiple."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 import pytest
@@ -29,9 +29,11 @@ from ncdef.commpoly import (
     GrlexOrder,
     LocalOrder,
     _cleared,
+    _exps_divides,
     _int_spoly,
     _primitive,
     _reducer,
+    _standard_monomials,
     groebner,
     normal_form,
     poly_str,
@@ -319,3 +321,22 @@ def test_degree_cut_of_a_coefficient_swell_ideal():
     p = presentation_parse("generators: x y z\ncentral: x y z\nrelations: "
                            + " ; ".join(poly_str(g) for g in gens) + "\n")
     assert brute_force_dim(p, 7) == 4
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_standard_monomials_are_those_no_lead_divides(data):
+    """The enumerator's levels are the monomials of each total degree below
+    the bound that no lead divides (by ``_exps_divides``), sorted, up to the
+    first empty degree; the leads are random, the unit among them."""
+    n = data.draw(st.integers(1, 4))
+    depth = data.draw(st.integers(1, 6))
+    leads = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=5))
+    levels = []
+    for d in range(depth):
+        level = sorted(e for e in product(range(d + 1), repeat=n) if sum(e) == d
+                       and not any(_exps_divides(l, e) for l in leads))
+        if not level:
+            break
+        levels.append(level)
+    assert _standard_monomials(n, leads, depth) == levels

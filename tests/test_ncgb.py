@@ -136,7 +136,7 @@ def test_truncated_dimension_matches_brute_force(name, p, n):
     from ncdef.ncgb import _irreducible_words
 
     gb = nc_complete(p, n)
-    assert len(_irreducible_words(gb)) == brute_force_dim(p, n)
+    assert len(_irreducible_words(gb)[0]) == brute_force_dim(p, n)
 
 
 # Completions that take the central-letter pairs of ``gen_pairs``: both reach
@@ -155,14 +155,14 @@ def test_central_pairs_match_brute_force(name, n):
 
     p = presentation_parse(CENTRAL_PAIRS[name])
     gb = nc_complete(p, n, provenance=False)
-    assert len(_irreducible_words(gb)) == brute_force_dim(p, n)
+    assert len(_irreducible_words(gb)[0]) == brute_force_dim(p, n)
 
 
 def _engine_dim(text, n):
     from ncdef.ncgb import _irreducible_words
 
     p = presentation_parse(text)
-    return len(_irreducible_words(nc_complete(p, n, provenance=False))), p
+    return len(_irreducible_words(nc_complete(p, n, provenance=False))[0]), p
 
 
 # A wdeglex presentation in which, under a length cut, a rule already closed
@@ -383,6 +383,66 @@ def test_quotient_report_not_finite():
     assert rep.up_to == 12
 
 
+def _cuts_run(monkeypatch):
+    """The cutoffs of the completions run from now on, in order."""
+    real, cuts = ncgb.nc_complete, []
+
+    def logged(p, trunc, provenance=True):
+        cuts.append(trunc)
+        return real(p, trunc, provenance)
+
+    monkeypatch.setattr(ncgb, "nc_complete", logged)
+    return cuts
+
+
+# closed at cut 4: every word of length 4 is divisible by an active lead,
+# while cuts 3 and 4 keep different numbers of words
+CLOSES_AT_4 = ("generators: a b\n"
+               "relations: 3*a^2 + 3*b*a + b^2 ; -a^2 + 3*a^2*b - b^3\n")
+
+
+def test_a_closed_cut_certifies_before_the_last_cut(monkeypatch):
+    """A closed cut that is not the last certifies the tower itself: the
+    cut after it is never run, and ``up_to``, ``gb`` and the basis are its
+    own."""
+    cuts = _cuts_run(monkeypatch)
+    rep = quotient_report(presentation_parse(CLOSES_AT_4), maxN=7)
+    assert (rep.status, rep.dim, rep.certified_at, rep.up_to) == ("finite", 6, 4, 4)
+    assert cuts == [2, 3, 4] and rep.gb.trunc == 4
+    assert ncgb._irreducible_words(rep.gb) == (rep.basis, True)
+
+
+def test_a_closed_last_cut_stays_not_finite(monkeypatch, tmp_path, capsys):
+    """The last cut has no successor, so its closed test certifies
+    nothing: ``ncdef gb --max-degree 4`` stays not-finite up to cut 4."""
+    from ncdef.cli import run_command
+
+    f = tmp_path / "alg.txt"
+    f.write_text(CLOSES_AT_4)
+    cuts = _cuts_run(monkeypatch)
+    code, doc = run_command(["gb", str(f), "--max-degree", "4"])
+    capsys.readouterr()
+    assert code == 0 and (doc["status"], doc["up_to"]) == ("not-finite", 4)
+    assert doc["certified_at"] is None and cuts == [2, 3, 4]
+    rep = quotient_report(presentation_parse(CLOSES_AT_4), maxN=4)
+    assert rep.gb.trunc == 4 and ncgb._irreducible_words(rep.gb)[1]
+
+
+def test_laufer_n2_towers_stop_at_their_closed_cut(monkeypatch):
+    """The weight cuts each specialization of ``invariant_table(2)`` runs:
+    A_0, A_3 and A_4 are closed at 21 and never run 26, while A_1 and A_2
+    still run the cut after the one they certify, whose count equals it."""
+    cuts = _cuts_run(monkeypatch)
+    run = {}
+    for i in range(5):
+        cuts.clear()
+        rep = quotient_report(laufer_presentation(2, standard_lambda(2, i)), 14)
+        run[i] = (rep.certified_at, rep.up_to, list(cuts))
+    closed = (21, 21, [6, 11, 16, 21])
+    assert run == {0: closed, 1: (31, 36, [6, 11, 16, 21, 26, 31, 36]),
+                   2: (21, 26, [6, 11, 16, 21, 26]), 3: closed, 4: closed}
+
+
 def test_center_basis_needs_a_finite_report():
     p = _pres(G2, [A * B + B * A, A * A + B * B])
     with pytest.raises(NotFiniteError):
@@ -405,7 +465,7 @@ def test_quotient_report_basis_counts_monotone():
     from ncdef.ncgb import _irreducible_words
 
     p = laufer(1)  # its top basis weight is 10
-    counts = [len(_irreducible_words(nc_complete(p, n))) for n in range(2, 13)]
+    counts = [len(_irreducible_words(nc_complete(p, n))[0]) for n in range(2, 13)]
     assert counts == sorted(counts)
     assert counts[-1] == counts[-2] == 9
 

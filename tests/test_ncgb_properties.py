@@ -6,13 +6,19 @@ that keeps nothing between steps.  The division search
 :func:`~ncdef.ncgb.find_division`, which matches each rule's split lead by
 substring and multiset tests, must pick the rule and the division that the
 oracle's letter-by-letter scan finds.  While completion runs, every cached
-division must be the one the oracle finds.  The integer provenance fold,
+division, resumed over the rules its entry has not seen, must be the one
+the oracle finds.  The integer provenance fold,
 read as ``Fraction``s, must equal the oracle's ``Fraction`` fold.  The
-kernel's heap key must order words as the rule key does, reversed.
+kernel's heap key must order words as the rule key does, reversed.  The
+standard-word enumerator, which tests parents instead of searching, must
+list exactly the words below the cut that no lead divides, and call a cut
+closed exactly when every word in the band of degrees just past it is
+divisible.
 """
 
 import functools
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -24,7 +30,9 @@ from ncdef.exprparse import presentation_parse
 from ncdef.freealg import NcOrder, NcPoly, canon_word, genset, word_mul
 from ncdef.ncgb import (
     RewriteRule,
+    TruncatedGB,
     _fold_trace,
+    _irreducible_words,
     _prov_view,
     find_division,
     nc_complete,
@@ -49,6 +57,12 @@ PRESENTATIONS = {
     "non-unit": presentation_parse(
         "generators: a b\ncentral: t\n"
         "relations: a*b - 2*b*a + t*a; b^2 - 3/2*a^2 + t^2\n"
+    ),
+    # a^3 leads the first rule, b*a^3 is divided by it while the second
+    # relation reduces, and the lead a^2 of the third retires it
+    "retiring": presentation_parse(
+        "generators: a b c\nweights: 1 1 4\n"
+        "relations: a^3 + c ; b*a^3 + b^2 ; a^2 + b^3\n"
     ),
 }
 
@@ -141,8 +155,12 @@ def test_find_division_is_the_oracles_first_division(case):
 
 
 def _check_cached_divisions(gb):
+    """Every cached entry, resolved through the lookup the kernel uses, is
+    the oracle's first division over the active rules: a retired hit and a
+    miss that has not seen the newest rules both resume their search."""
     gens, active = gb.gens, gb.active_rules()
-    for w, hit in gb.reductions.items():
+    for w in list(gb.reductions):
+        hit = gb.division(w)
         assert hit == first_division(gens, active, w)
         if hit is not None:
             rule, u, v = hit
@@ -234,3 +252,48 @@ def test_integer_fold_into_its_own_rule_with_denominators():
     fraction_fold(gb.gens, provs, [(Fraction(c, s), u, i, v) for c, s, u, i, v in trace],
                   want, -1)
     assert rule.prov == want
+
+
+@st.composite
+def lead_systems(draw):
+    """Rules with random leads (only the leads are read) over 2-3
+    generators with 0-2 of them central and weights 1-3, under either
+    order, at a cut of 2-5."""
+    n = draw(st.integers(2, 3))
+    names = [f"g{i}" for i in range(n)]
+    gens = genset(names,
+                  draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
+                  draw(st.lists(st.sampled_from(names), max_size=2, unique=True)))
+    order = NcOrder(gens, draw(st.sampled_from(["deglex", "wdeglex"])))
+    words = st.lists(st.integers(0, n - 1), min_size=1, max_size=4).map(
+        lambda ls: canon_word(gens, ls))
+    leads = draw(st.lists(words, max_size=5, unique=True))
+    zero = NcPoly.zero(gens)
+    rules = [RewriteRule(lead, zero, None, True, k) for k, lead in enumerate(leads)]
+    return TruncatedGB(gens, order, draw(st.integers(2, 5)), rules)
+
+
+def _canonical_words(gens, max_len):
+    n = len(gens.names)
+    return {canon_word(gens, ls) for k in range(max_len + 1)
+            for ls in product(range(n), repeat=k)}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lead_systems())
+def test_standard_words_are_those_no_lead_divides(gb):
+    """``_irreducible_words`` lists, by length and then in word order, the
+    canonical words of degree < the cut that ``find_division`` finds no
+    lead for.  The cut is closed exactly when every word of degree in
+    [cut, cut + heaviest letter) has a lead dividing it: each word past the
+    cut extends one of those, found where its letters first reach the
+    cut."""
+    gens, order, cut, rules = gb.gens, gb.order, gb.trunc, gb.rules
+    top = cut + max(gens.weights) - 1
+    words = _canonical_words(gens, top)
+    standard = sorted((w for w in words if order.degree(w) < cut
+                       and find_division(gens, rules, w) is None),
+                      key=lambda w: (len(w), order.key(w)))
+    closed = all(find_division(gens, rules, w) for w in words
+                 if cut <= order.degree(w) <= top)
+    assert _irreducible_words(gb) == (standard, closed)
