@@ -18,7 +18,9 @@ Rules carry provenance: an exact rule records how its polynomial expands as a
 two-sided combination of the original relations, which lets
 :func:`derive_check` emit independently replayable membership certificates.
 Provenance is folded only for a pair that becomes a rule: pairs which reduce
-to zero never build one.
+to zero never build one.  A pair whose overlap word has degree >= ``trunc``
+is not queued at all, since every word of its polynomial is at or past the
+cut.
 
 Completion runs over ``int``s: every normal form goes through the one
 kernel :func:`~ncdef.commpoly._rewrite`, by :func:`_reduce`, with one
@@ -241,7 +243,8 @@ def _reduce(work: dict[Word, int], scale: int, gb: TruncatedGB):
     modulo the active rules and the cutoff, each step c * u * rule_i * v in
     the trace as ``(c, scale, u, i, v)``.  A word's divisor is its division
     (rule, u, v), by :meth:`TruncatedGB.division`, and the product with a
-    tail word t is u*t*v.  ``NcOrder.heap_key`` reverses the
+    tail word t is u*t*v, one canonical product u*t followed by v, which has
+    no central letters.  ``NcOrder.heap_key`` reverses the
     multiplicative rule key, so each step rewrites the reducible word of the
     largest rule key (the lowest-degree one).
     """
@@ -252,7 +255,7 @@ def _reduce(work: dict[Word, int], scale: int, gb: TruncatedGB):
         return hit and (hit[0].red, hit)
 
     def product(hit, t: Word) -> Word:
-        return word_mul(gens, word_mul(gens, hit[1], t), hit[2])
+        return word_mul(gens, hit[1], t) + hit[2]
 
     rem, scale, steps, truncated = _rewrite(work, scale, divide, product,
                                             gb.order.heap_key, gb.order.degree, gb.trunc)
@@ -319,17 +322,20 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
 
     The pending queue is ordered by the length of the word a pair overlaps on
     (FIFO within a length).  A pair whose overlap word has degree >=
-    ``trunc`` reduces to zero: no tail word has a lower degree than its
-    lead, so every word of the pair's polynomial is at or past the cut.  For
-    the same reason a word at or past the cut never rewrites back below it,
-    so the critical pairs alone close the system under the cut.  The
-    returned system is inter-reduced: no active lead divides another, and
-    every tail is in normal form.
+    ``trunc`` is not queued: no tail word has a lower degree than its lead,
+    so every word of the pair's polynomial is at or past the cut and it
+    reduces to zero.  For the same reason a word at or past the cut never
+    rewrites back below it, so the critical pairs alone close the system
+    under the cut.  The step limit ``_MAX_COMPLETION_STEPS`` counts the
+    items popped from the queue, so a pair at or past the cut never counts
+    toward it.  The returned system is inter-reduced: no active lead divides
+    another, and every tail is in normal form.
     """
     if trunc < 2:
         raise ValueError("trunc must be >= 2")
     gens = p.gens
     order = NcOrder(gens, p.order)
+    degree = order.degree
     gb = TruncatedGB(gens, order, trunc, [])
     noncentral = [i for i, c in enumerate(gens.central) if not c]
 
@@ -352,6 +358,8 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         of rules whose leads cancel (critical pairs, central-letter pairs),
         as raw trace steps ``(c, 1, u, i, v)``; its polynomial is what
         remains,  sum c * u * R_i * v / L_i, over the lcm of the rules' L.
+        Every right word v is a noncommutative suffix, so u * t * v is the
+        canonical product u * t followed by v.
         """
         if item[0] == "poly":
             _, work, scale, _, exact = item
@@ -363,7 +371,7 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
             _, L, tail = gb.rules[i].red
             k = c * (scale // L)
             for tw, tc in tail:
-                w = word_mul(gens, word_mul(gens, u, tw), v)
+                w = word_mul(gens, u, tw) + v
                 work[w] = work[w] + k * tc if w in work else k * tc
         return {w: c for w, c in work.items() if c}, scale, _fold_trace(gb, combo, None, 1)
 
@@ -375,6 +383,17 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         _fold_trace(gb, item[1], acc, 1)
         return acc
 
+    def push_pair(up: Word, rp: RewriteRule, vp: Word,
+                  uq: Word, rq: RewriteRule, vq: Word) -> None:
+        """Queue  uq * rule_q * vq - up * rule_p * vp,  whose leads cancel,
+        by the length of its overlap word  uq * lead_q * vq.  A pair whose
+        overlap word has degree >= ``trunc`` is not queued: every word of
+        its polynomial is at or past the cut."""
+        if degree(uq) + degree(rq.lead) + degree(vq) >= trunc:
+            return
+        push(len(uq) + len(rq.lead) + len(vq),
+             ("comb", ((1, 1, uq, rq.idx, vq), (-1, 1, up, rp.idx, vp))))
+
     def gen_pairs(rp: RewriteRule, rq: RewriteRule) -> None:
         """Queue the critical pairs of the ordered rule pair (rp, rq)."""
         cp, cq = rp.lead_c, rq.lead_c
@@ -383,31 +402,24 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         # the central letters each lead lacks of the two leads' union
         rest_p, rest_q = _central_minus(cq, cp), _central_minus(cp, cq)
         shared = len(rest_q) < len(cp)
-        clen = len(cp) + len(rest_p)
-
-        def emit(up, vp, uq, vq, wlen):
-            push(wlen, ("comb", ((1, 1, uq, rq.idx, vq), (-1, 1, up, rp.idx, vp))))
-
         if pn and qn:
             # proper overlaps: a suffix of pn is a prefix of qn
             for k in range(1, min(len(pn), len(qn))):
                 if pn[-k:] == qn[:k]:
-                    emit(rest_p, qn[k:], rest_q + pn[:-k], (),
-                         clen + len(pn) + len(qn) - k)
+                    push_pair(rest_p, rp, qn[k:], rest_q + pn[:-k], rq, ())
             # inclusions: qn occurs inside pn (or the leads share nc part)
             if len(qn) < len(pn) or (qn == pn and rp is not rq):
                 m = len(qn)
                 for i in range(len(pn) - m + 1):
                     if pn[i : i + m] == qn:
-                        emit(rest_p, (), rest_q + pn[:i], pn[i + m :],
-                             clen + len(pn))
+                        push_pair(rest_p, rp, (), rest_q + pn[:i], rq, pn[i + m :])
             # disjoint factors competing for shared central letters
             if shared:
-                emit(rest_p, qn, rest_q + pn, (), clen + len(pn) + len(qn))
+                push_pair(rest_p, rp, qn, rest_q + pn, rq, ())
         elif not qn and shared and (pn or rp is not rq):
             # a central-only lead q against any lead it shares central
             # letters with (qn without pn is the (rq, rp) ordered pair)
-            emit(rest_p, (), rest_q, pn, clen + len(pn))
+            push_pair(rest_p, rp, (), rest_q, rq, pn)
 
     steps = 0
     while heap:
@@ -464,8 +476,7 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
             for x in noncentral:
                 # a central-only lead rewrites at any position, so its tail
                 # must commute with every noncommuting generator
-                push(len(new.lead) + 1,
-                     ("comb", ((1, 1, (x,), new.idx, ()), (-1, 1, (), new.idx, (x,)))))
+                push_pair((), new, (x,), (x,), new, ())
     gb.reductions.clear()  # return a lean system; later reductions refill it
     return gb
 

@@ -325,6 +325,36 @@ def test_public_coefficients_are_fractions(name):
     assert steps
 
 
+def _reductions_run(monkeypatch):
+    """The kernel calls made from now on, one entry per call."""
+    real, calls = ncgb._reduce, []
+
+    def counted(work, scale, gb):
+        calls.append(len(work))
+        return real(work, scale, gb)
+
+    monkeypatch.setattr(ncgb, "_reduce", counted)
+    return calls
+
+
+# under deglex the lead b^3 overlaps itself on b^4 and b^5; under weights
+# 1 2 the lead a*b*a overlaps itself only on a*b*a*b*a: length 5, weight 7
+OVERLAPS_ITSELF = "generators: a b\n{}relations: a*b*a - b^3\n"
+
+
+@pytest.mark.parametrize("weights, cut, calls", [
+    ("", 4, 1), ("", 5, 2), ("weights: 1 2\n", 7, 1), ("weights: 1 2\n", 8, 2),
+], ids=["length-at-cut", "length-below-cut", "weight-at-cut", "weight-below-cut"])
+def test_a_pair_at_or_past_the_cut_is_never_queued(monkeypatch, weights, cut, calls):
+    """A pair whose overlap word has degree >= the cut is never queued, so
+    only the relation and the overlaps below the cut reach the kernel.  The
+    weighted cases cut on weight: a*b*a*b*a is shorter than cut 7."""
+    p = presentation_parse(OVERLAPS_ITSELF.format(weights))
+    reductions = _reductions_run(monkeypatch)
+    nc_complete(p, cut)
+    assert len(reductions) == calls
+
+
 def test_certificates_are_fractions():
     p = karmazyn_contraction_presentation(3)
     g = p.gens
