@@ -645,33 +645,25 @@ def center_basis(report: QuotientReport) -> list[NcPoly]:
     """Basis of the center of a finite-dimensional quotient.
 
     Solves [x, g] = 0 over the monomial basis for every noncommuting
-    generator g (central generators commute identically).
+    generator g (central generators commute identically).  A row, one per
+    (g, word), is cleared of denominators, which moves no nullspace vector.
     """
     if report.status != "finite":
         raise NotFiniteError("center computation needs a finite quotient")
-    gb = report.gb
-    gens = gb.gens
-    basis = report.basis
-    index = {w: k for k, w in enumerate(basis)}
+    gb, gens, basis = report.gb, report.gb.gens, report.basis
     noncentral = [i for i, c in enumerate(gens.central) if not c]
-    rows = []
-    for w in basis:
-        row: list[Fraction] = []
-        wp = NcPoly(gens, {w: Fraction(1)})
+    parts: dict[tuple[int, Word], list[tuple[int, int, int]]] = {}
+    for k, w in enumerate(basis):
         for g in noncentral:
-            gp = NcPoly(gens, {(g,): Fraction(1)})
-            nf = nc_reduce(wp * gp - gp * wp, gb).poly
-            coords = [Fraction(0)] * len(basis)
-            for mw, c in nf.terms.items():
-                coords[index[mw]] = c
-            row.extend(coords)
-        rows.append(row)
-    # left nullspace: central elements x satisfy x . rows = 0
-    vecs = nullspace([list(col) for col in zip(*rows)], len(basis))
-    out = []
-    for v in vecs:
-        out.append(NcPoly(gens, {basis[k]: c for k, c in enumerate(v) if c}))
-    return out
+            wg, gw = word_mul(gens, w, (g,)), word_mul(gens, (g,), w)
+            if wg != gw:
+                rem, scale, _, _ = _reduce({wg: 1, gw: -1}, 1, gb)
+                for v, c in rem.items():
+                    parts.setdefault((g, v), []).append((k, c, scale))
+    rows = ({k: c * (L // s) for k, c, s in part}
+            for part in parts.values() for L in [lcm(*(s for _, _, s in part))])
+    return [NcPoly(gens, {basis[k]: c for k, c in enumerate(v) if c})
+            for v in nullspace(rows, len(basis))]
 
 
 @dataclass
@@ -680,36 +672,35 @@ class QuadraticReport:
     antisym_rank: int
 
 
-def _span_rank(polys: Sequence[NcPoly]) -> int:
-    """Dimension of the span of ``polys``: the words they use less the
-    nullity of their coefficient matrix."""
-    cols = list(dict.fromkeys(w for f in polys for w in f.terms))
-    rows = [[f.terms.get(w, Fraction(0)) for w in cols] for f in polys]
-    return len(cols) - len(nullspace(rows, len(cols)))
+def _span_rank(rows: Sequence[dict[Word, int]]) -> int:
+    """Dimension of the span of the vectors ``rows``, sparse over words:
+    the words they use less the nullity of their coefficient matrix."""
+    cols = {w: k for k, w in enumerate(dict.fromkeys(w for r in rows for w in r))}
+    return len(cols) - len(nullspace(({cols[w]: c for w, c in r.items()} for r in rows),
+                                     len(cols)))
 
 
 def quadratic_classify(p: Presentation) -> QuadraticReport:
     """Split each relation's quadratic noncommutative part into its symmetric
-    and antisymmetric pieces and report the span dimensions of each kind."""
+    and antisymmetric pieces, times a positive integer, which moves no
+    span, and report the span dimensions of each kind."""
     gens = p.gens
     sym_parts, antisym_parts = [], []
     for rel in p.relations:
-        sym: dict[Word, Fraction] = {}
-        anti: dict[Word, Fraction] = {}
-        for w, c in rel.terms.items():
+        sym: dict[Word, int] = {}
+        anti: dict[Word, int] = {}
+        for w, c in _cleared(rel)[0].items():
             wc, wn = word_split(gens, w)
             # quadratic in the noncommuting letters; central letters act as
             # scalar coefficients and ride along in the word key
             if len(wn) != 2:
                 continue
             rev = wc + (wn[1], wn[0])
-            half = c / 2
-            for tgt, val in ((w, half), (rev, half)):
-                sym[tgt] = sym.get(tgt, Fraction(0)) + val
-            for tgt, val in ((w, half), (rev, -half)):
-                anti[tgt] = anti.get(tgt, Fraction(0)) + val
-        sym_parts.append(NcPoly(gens, sym))
-        antisym_parts.append(NcPoly(gens, anti))
+            for part, sign in ((sym, 1), (anti, -1)):
+                part[w] = part.get(w, 0) + c
+                part[rev] = part.get(rev, 0) + sign * c
+        sym_parts.append(sym)
+        antisym_parts.append(anti)
     return QuadraticReport(_span_rank(sym_parts), _span_rank(antisym_parts))
 
 

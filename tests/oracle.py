@@ -15,9 +15,13 @@ every cut monomial written out as a generator.  ``fraction_normal_form`` and
 ``Fraction`` arithmetic, for checking the engine's integer ones;
 ``fraction_fold`` is the provenance fold of the rewriting engine in
 ``Fraction`` arithmetic, for checking its integer accumulators.
+``dense_nullspace`` is Gauss-Jordan elimination on dense ``Fraction`` rows,
+for checking the sparse integer elimination of ``ncdef.linalg.nullspace``;
+it takes the same arguments.
 """
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from ncdef.commpoly import CommPoly
@@ -96,6 +100,40 @@ def fraction_fold(gens, provs, trace, dst, sign):
                 dst[key] = nv
             else:
                 dst.pop(key, None)
+
+
+def dense_nullspace(rows, ncols):
+    """``ncdef.linalg.nullspace`` by Gauss-Jordan elimination on dense
+    ``Fraction`` rows: the sparse rows ``{column: int}`` are written out over
+    ``ncols`` columns and brought to reduced row echelon form, then one
+    vector per free column, 1 there, 0 at the other free columns and minus
+    the reduced rows' entries at the pivot columns."""
+    mat = [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = mat[r][c]
+        mat[r] = [x / inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            vec[pc] = -mat[ri][fc]
+        basis.append(vec)
+    return basis
 
 
 def divide(gens, lead, w):

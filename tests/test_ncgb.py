@@ -45,7 +45,7 @@ from ncdef.zoo import (
     laufer_presentation,
     standard_lambda,
 )
-from oracle import brute_force_dim
+from oracle import brute_force_dim, dense_nullspace
 
 G2 = genset(["a", "b"])
 A = NcPoly.gen(G2, "a")
@@ -471,6 +471,43 @@ def test_laufer_n2_towers_stop_at_their_closed_cut(monkeypatch):
     closed = (21, 21, [6, 11, 16, 21])
     assert run == {0: closed, 1: (31, 36, [6, 11, 16, 21, 26, 31, 36]),
                    2: (21, 26, [6, 11, 16, 21, 26]), 3: closed, 4: closed}
+
+
+CENTER_CASES = {
+    # (the presentation, its dimension, its center's dimension)
+    "t-twisted": ("generators: a b t\ncentral: t\n"
+                  "relations: a^2 - t*b ; b^2 ; t^2 ; a*b + b*a", 7, 5),
+    "untwisted": ("generators: a b t\ncentral: t\n"
+                  "relations: a^2 ; b^2 ; t^2 ; a*b + b*a", 8, 4),
+    "all-central": ("generators: x y\ncentral: x y\n"
+                    "relations: x^2 ; y^3 ; x*y", 4, 4),
+    # normal forms over denominators 2 and 3, with scales 1 and 2 in one row
+    # of the system, and a central element b*a^2 + 2*a*b*a - 6*a^3
+    "fractional": ("generators: a b t\ncentral: t\n"
+                   "relations: 3*a^2 - 2*a*b + 3*t*b ; b^2 ; t^2", 12, 4),
+}
+
+
+@pytest.mark.parametrize("case", [(n, i) for n in (1, 2) for i in range(2 * n + 1)]
+                         + list(CENTER_CASES),
+                         ids=lambda c: c if isinstance(c, str) else "laufer-{}-A_{}".format(*c))
+def test_center_basis_is_central(monkeypatch, case):
+    """Every element ``center_basis`` returns commutes with every generator,
+    on the Laufer rows A_i for n <= 2 and on ``CENTER_CASES``, and the list
+    is the one the dense ``Fraction`` elimination gives."""
+    if case in CENTER_CASES:
+        text, dim, center_dim = CENTER_CASES[case]
+        rep = quotient_report(presentation_parse(text), 10)
+        assert (rep.dim, len(center_basis(rep))) == (dim, center_dim)
+    else:
+        n, i = case
+        rep = quotient_report(laufer_presentation(n, standard_lambda(n, i)), 4 * n + 6)
+    center, gens = center_basis(rep), rep.gb.gens
+    for z in center:
+        for g in (NcPoly.gen(gens, x) for x in gens.names):
+            assert nc_reduce(z * g - g * z, rep.gb).poly.is_zero()
+    monkeypatch.setattr(ncgb, "nullspace", dense_nullspace)
+    assert center_basis(rep) == center
 
 
 def test_center_basis_needs_a_finite_report():
