@@ -17,22 +17,24 @@ and reduces the pair of lowest sugar degree, then smallest lcm, first.  Its
 normal forms divide only by the live elements, those whose lead no later
 lead divides.  Under a :class:`LocalOrder` with cut N it also holds every
 monomial of total degree N, without building them as generators.  A
-:class:`CommGB` is monic and carries one list of its elements' lead
-exponents, so normal forms and quotient bases neither recompute a lead nor
-divide by its coefficient.  Reduction is fraction-free: :func:`_rewrite`,
-the one normal-form kernel of both engines, divides by integer reducers
-with one running scale, looks a term's divisor up once, when the term
-enters the work, and heaps only reducible terms.  Buchberger's loop stays
-in the integers throughout, so ``Fraction``s are built only for returned
-bases and normal forms.  One enumerator, :func:`_standard_levels`, lists
-standard monomials and words, and one printer, :func:`word_str`, writes
-them.  A ``float`` coefficient is refused.
+:class:`CommGB` stores each element only as the integer reducer that
+:func:`_primitive`, the one constructor of a reducer, makes, so normal
+forms and quotient bases neither recompute a lead nor divide by its
+coefficient.  Reduction is fraction-free: :func:`_rewrite`, the one
+normal-form kernel and division loop of both engines, divides by integer
+reducers with one running scale, looks a term's divisor up once, when the
+term enters the work, and heaps only reducible terms.  Buchberger's loop
+stays in the integers; only results build ``Fraction``s: the ``basis``
+view, normal forms and quotients.  One enumerator, :func:`_standard_levels`,
+lists standard monomials and words, and one printer, :func:`word_str`,
+writes them.  A ``float`` coefficient is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import groupby
 from math import gcd, lcm
@@ -321,23 +323,24 @@ def poly_str(f: CommPoly) -> str:
 
 
 def divexact(f: CommPoly, g: CommPoly) -> Optional[CommPoly]:
-    """Return q with f = q*g, or None when g does not divide f exactly."""
+    """Return q with f = q*g, or None when g does not divide f exactly.
+    {g} is a Groebner basis of (g), so g divides f when f reduces to zero by
+    g's reducer; q sums (c/s)/lc(g) * x^m over the steps (c, s, m), whose m
+    differ, since :func:`_rewrite` rewrites no term twice."""
     if g.is_zero():
         raise DivisionByZeroPolyError("division by zero polynomial")
     f._check(g)
     order = GrlexOrder(f.vars)
-    ge, gc = g.lead(order)
-    quot: dict[Exponents, Fraction] = {}
-    rem = f
-    while not rem.is_zero():
-        re, rc = rem.lead(order)
-        if not _exps_divides(ge, re):
-            return None
-        qe = _exps_div(re, ge)
-        qc = rc / gc
-        quot[qe] = quot.get(qe, Fraction(0)) + qc
-        rem = rem - CommPoly.monomial(f.vars, qe, qc) * g
-    return CommPoly(f.vars, quot)
+    work = _cleared(g)[0]
+    e = max(work, key=order.key)
+    r = _primitive(e, work)
+
+    def divide(t: Exponents):
+        return (r, _exps_div(t, e)) if _exps_divides(e, t) else None
+
+    rem, _, steps, _ = _rewrite(*_cleared(f), divide, _exps_mul, order.heap_key, sum, None)
+    lc = g.terms[e]
+    return None if rem else CommPoly(f.vars, {m: Fraction(c, s) / lc for c, s, m in steps})
 
 
 def substitute(
@@ -400,41 +403,35 @@ def partials(f: CommPoly) -> list[CommPoly]:
 
 @dataclass
 class CommGB:
-    """Monic polynomials under a monomial order, with the lead exponents of
-    each one in ``leads``; a non-monic element raises ``ValueError``.
-
-    ``reducers`` holds each element once as the integer triple (lead
-    exponents, L, tail) of :func:`_reducer` that :func:`_reduce` divides by:
-    L times the element is L*x^lead + tail.  The ``cut`` N of a
+    """A Groebner basis under a monomial order, stored as one integer
+    reducer (lead exponents, L, tail) per element, made by
+    :func:`_primitive`, which :func:`_reduce` divides by: L times the
+    monic element is L*x^lead + tail.  ``leads`` lists the lead exponents
+    and ``basis`` the monic elements as :class:`CommPoly`s, built on first
+    read; a basis never changes once built.  The ``cut`` N of a
     :class:`LocalOrder` stands for every monomial of total degree N, which
     the basis then holds without listing them all: normal forms drop each
     term of total degree >= N."""
 
-    basis: list[CommPoly]
+    reducers: list[tuple[Exponents, int, list[tuple[Exponents, int]]]]
     order: GrlexOrder
-    leads: list[Exponents] = field(init=False, repr=False, compare=False)
-    reducers: list[tuple[Exponents, int, list[tuple[Exponents, int]]]] = field(
-        init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self):
-        leads = [g.lead(self.order) for g in self.basis]
-        if any(c != 1 for _, c in leads):
-            raise ValueError("basis elements must be monic")
-        self.leads = [e for e, _ in leads]
-        self.reducers = list(map(_reducer, self.basis, self.leads))
+    @property
+    def leads(self) -> list[Exponents]:
+        return [r[0] for r in self.reducers]
 
-
-def _reducer(g: CommPoly, e: Exponents):
-    """(e, L, tail) of the monic multiple of g with lead e: L is the lcm of
-    its denominators and tail lists its other terms times L, all integers."""
-    return _primitive(e, _cleared(g)[0])
+    @cached_property
+    def basis(self) -> list[CommPoly]:
+        return [CommPoly(self.order.vars,
+                         {e: Fraction(1), **{t: Fraction(c, L) for t, c in tail}})
+                for e, L, tail in self.reducers]
 
 
 def _primitive(e: Exponents, work: Mapping[Exponents, int]):
-    """The reducer of the monic multiple h of the integer vector ``work``
-    with lead e: ``work`` over its content, signed so that L > 0.  For the
-    lcm L of h's denominators, L*h is that same primitive vector."""
+    """The reducer (e, L, tail) of the monic multiple h of the integer
+    vector ``work`` with lead e, and the only code that builds one: ``work``
+    over its content, signed so that L > 0.  For the lcm L of h's
+    denominators, L*h is that same primitive vector."""
     g = gcd(*work.values()) * (1 if work[e] > 0 else -1)
     return e, work[e] // g, [(t, c // g) for t, c in work.items() if t != e]
 
@@ -563,10 +560,10 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
     homogeneous ideal the sugar degree is the degree of the lcm.
 
     The loop runs over the integers: an element is only its reducer, made
-    from a remainder and its largest term under ``order`` by
-    :func:`_primitive`, an S-polynomial is built from two
-    reducers by :func:`_int_spoly`, and ``Fraction``s are built only for the
-    inter-reduced basis returned.
+    by :func:`_primitive` from a cleared generator or a remainder and its
+    largest term under ``order``, an S-polynomial is built from two
+    reducers by :func:`_int_spoly`, and the returned basis stores the
+    reducers of the inter-reduced elements and of the cut monomials.
 
     Under a cut N the monomials of total degree N are basis elements that
     are never built.  Generators and normal forms drop every term of total
@@ -619,10 +616,11 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
         active[:] = [reducers[i] for i in live]
 
     for g in gens:
+        work = _cleared(g)[0]
         if cut is not None:
-            g = CommPoly(g.vars, {e: c for e, c in g.terms.items() if sum(e) < cut})
-        if not g.is_zero():
-            add(_reducer(g, g.lead(order)[0]), max(map(order.degree, g.terms)))
+            work = {e: c for e, c in work.items() if sum(e) < cut}
+        if work:
+            add(_primitive(max(work, key=order.key), work), max(map(order.degree, work)))
     if not reducers and cut is None:
         raise ValueError("no nonzero generators")
     while queue:
@@ -639,13 +637,12 @@ def groebner(gens: Sequence[CommPoly], order: GrlexOrder) -> CommGB:
         # the tail lies below e, and its normal form differs from it by an
         # element of the ideal, so e + NF(tail) is the element with lead e
         rem, scale = _reduce(dict(tail), L, tails, order)
-        reduced[e] = CommPoly(order.vars, {
-            e: Fraction(1), **{t: Fraction(c, scale) for t, c in rem.items()}})
+        reduced[e] = _primitive(e, {e: scale, **rem})
     if cut is not None:
         levels = _standard_monomials(len(order.vars), [r[0] for r in tails], cut + 1)
         for level in levels[cut:]:
             for e in level:
-                reduced[e] = CommPoly.monomial(order.vars, e)
+                reduced[e] = (e, 1, [])
     return CommGB([reduced[e] for e in sorted(reduced)], order)
 
 

@@ -24,8 +24,9 @@ cut.
 
 Completion runs over ``int``s: every normal form goes through the one
 kernel :func:`~ncdef.commpoly._rewrite`, by :func:`_reduce`, with one
-running scale, provenance is folded into integer accumulators, and
-``Fraction``s are built only for a new rule's tail and the public views.  A
+running scale, a rule is stored only as its integer reducer, provenance
+is folded into integer accumulators, and only the public views build
+``Fraction``s.  A
 :class:`TruncatedGB` caches, per word, which active rule divides it and
 where, together with how many rules that search has seen.  Completion
 clears the cache only before it returns: a rule added or retired just makes
@@ -48,8 +49,8 @@ from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .commpoly import (GrlexOrder, InternalConsistencyError, LocalReport, VarSet,
-                       _cleared, _rewrite, _standard_levels, graded_dims, local_report,
-                       stable_tower, substitute)
+                       _cleared, _primitive, _rewrite, _standard_levels, graded_dims,
+                       local_report, stable_tower, substitute)
 from .freealg import (
     GenSet,
     NcOrder,
@@ -106,37 +107,40 @@ class Presentation:
 class RewriteRule:
     """Monic rule ``lead -> tail`` with provenance ``lead - tail = sum prov``.
 
-    ``exact`` means the provenance identity holds on the nose (no word was
-    dropped by truncation anywhere in the rule's derivation).  Setting
-    ``tail`` sets ``red``, the rule's integer reducer (lead, L, R) in the
-    convention of :class:`~ncdef.commpoly.CommGB`: L*(lead - tail) =
-    L*lead + R, with R a list of (word, int) terms.  ``prov`` is the view of
-    the accumulator ``acc`` (None without provenance).
+    ``red`` is the rule's only stored polynomial, its integer reducer
+    (lead, L, R) from :func:`~ncdef.commpoly._primitive`: L*(lead - tail) =
+    L*lead + R, with R a list of (word, int) terms.  ``exact`` means the
+    provenance identity holds on the nose (no word was dropped by
+    truncation anywhere in the rule's derivation).  The views ``tail``,
+    ``poly()`` and ``prov`` (of the accumulator ``acc``, None without
+    provenance) build ``Fraction``s on each read and keep none, since
+    completion replaces ``red`` when it re-reduces the tail.
     """
 
-    __slots__ = ("lead", "_tail", "red", "acc", "exact", "idx", "active",
+    __slots__ = ("gens", "lead", "red", "acc", "exact", "idx", "active",
                  "lead_c", "lead_key")
 
-    def __init__(self, lead: Word, tail: NcPoly, acc: list | None, exact: bool, idx: int):
-        self.lead = lead
-        lc, ln = word_split(tail.gens, lead)
+    def __init__(self, gens: GenSet, red: tuple, acc: list | None, exact: bool, idx: int):
+        self.gens = gens
+        self.lead = red[0]
+        lc, ln = word_split(gens, self.lead)
         self.lead_c = lc  # central letters of the lead, sorted
         self.lead_key = _word_key(ln)  # its noncommutative part
-        self.tail = tail
+        self.red = red
         self.acc = acc
         self.exact = exact
         self.idx = idx
         self.active = True
 
-    def _set_tail(self, tail: NcPoly) -> None:
-        work, L = _cleared(tail)
-        self._tail, self.red = tail, (self.lead, L, [(w, -c) for w, c in work.items()])
+    @property
+    def tail(self) -> NcPoly:
+        _, L, R = self.red
+        return NcPoly(self.gens, {w: Fraction(-c, L) for w, c in R})
 
-    tail = property(lambda self: self._tail, _set_tail)
     prov = property(lambda self: _prov_view(self.acc))
 
     def poly(self) -> NcPoly:
-        return NcPoly(self.tail.gens, {self.lead: Fraction(1)}) - self.tail
+        return NcPoly(self.gens, {self.lead: Fraction(1)}) - self.tail
 
     def __repr__(self) -> str:
         flag = "" if self.exact else " ~"
@@ -156,8 +160,8 @@ class TruncatedGB:
     has seen: :meth:`division` resumes it at ``seen`` when the hit has
     retired (``seen`` is then the hit's index + 1) or when no rule below
     ``seen`` divides w and rules were added since.  No one needs to clear
-    it; a changed tail leaves it valid too, since the tail is read only when
-    a step is applied.
+    it; a changed reducer leaves it valid too, since the reducer is read
+    only when a step is applied.
     """
 
     gens: GenSet
@@ -439,12 +443,11 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
         if not lead:
             raise PresentationError("relations generate the unit ideal")
         c0 = rem[lead]
-        tail = NcPoly(gens, {w: Fraction(-c, c0) for w, c in rem.items() if w != lead})
         if provenance:  # acc gives rem / scale, and the rule is rem / c0
             terms, den = acc[0], acc[1] * c0
             g = gcd(den, scale * gcd(*terms.values())) * (1 if den > 0 else -1)
             acc = [{k: t * scale // g for k, t in terms.items()}, den // g]
-        new = RewriteRule(lead, tail, acc, exact, len(gb.rules))
+        new = RewriteRule(gens, _primitive(lead, rem), acc, exact, len(gb.rules))
         gb.rules.append(new)
         # retire rules whose lead the new lead divides; requeue their content
         for r in gb.rules:
@@ -464,7 +467,7 @@ def nc_complete(p: Presentation, trunc: int, provenance: bool = True) -> Truncat
                 continue
             rem, scale, trace, truncated = _reduce(dict(rtail), L, gb)
             if trace or truncated:
-                r.tail = NcPoly(gens, {w: Fraction(-c, scale) for w, c in rem.items()})
+                r.red = _primitive(r.lead, {r.lead: scale, **rem})
                 r.exact = _fold_trace(gb, trace, r.acc, -1) and r.exact and not truncated
         for r in gb.rules:
             if not r.active:

@@ -17,14 +17,23 @@ every cut monomial written out as a generator.  ``fraction_normal_form`` and
 ``Fraction`` arithmetic, for checking its integer accumulators.
 ``dense_nullspace`` is Gauss-Jordan elimination on dense ``Fraction`` rows,
 for checking the sparse integer elimination of ``ncdef.linalg.nullspace``;
-it takes the same arguments.
+it takes the same arguments.  ``fraction_divexact`` is exact division by
+repeated subtraction of a monomial times the divisor in ``Fraction``
+arithmetic, for checking ``ncdef.commpoly.divexact``, which divides with
+the integer reduction kernel.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from ncdef.commpoly import CommPoly
+from ncdef.commpoly import (
+    CommPoly,
+    DivisionByZeroPolyError,
+    GrlexOrder,
+    _exps_div,
+    _exps_divides,
+)
 from ncdef.freealg import NcPoly, word_mul, word_split
 
 
@@ -66,6 +75,26 @@ def fraction_normal_form(f, gb):
         else:
             rem[e] = c
     return CommPoly(f.vars, rem)
+
+
+def fraction_divexact(f, g):
+    """Return q with f = q*g, or None when g does not divide f exactly."""
+    if g.is_zero():
+        raise DivisionByZeroPolyError("division by zero polynomial")
+    f._check(g)
+    order = GrlexOrder(f.vars)
+    ge, gc = g.lead(order)
+    quot = {}
+    rem = f
+    while not rem.is_zero():
+        re, rc = rem.lead(order)
+        if not _exps_divides(ge, re):
+            return None
+        qe = _exps_div(re, ge)
+        qc = rc / gc
+        quot[qe] = quot.get(qe, Fraction(0)) + qc
+        rem = rem - CommPoly.monomial(f.vars, qe, qc) * g
+    return CommPoly(f.vars, quot)
 
 
 def fraction_spoly(f, fe, g, ge, lcm):

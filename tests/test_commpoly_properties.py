@@ -13,11 +13,13 @@ with y, and reducing y*m by it gives x*y^2*m, which y divides again.  The
 integer reduction kernel and S-polynomial are checked against the
 ``Fraction`` ones in ``tests/oracle.py`` on the bases of both kinds of
 order, and the reducer made from a remainder against the one of its monic
-multiple."""
+multiple.  Each stored reducer is the primitive one of its basis element,
+and exact division, which runs on the integer kernel, is checked against
+the ``Fraction`` division loop."""
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -32,7 +34,7 @@ from ncdef.commpoly import (
     _exps_divides,
     _int_spoly,
     _primitive,
-    _reducer,
+    divexact,
     _standard_monomials,
     groebner,
     normal_form,
@@ -43,6 +45,7 @@ from ncdef.commpoly import (
 from ncdef.exprparse import presentation_parse
 from oracle import (
     brute_force_dim,
+    fraction_divexact,
     fraction_normal_form,
     fraction_spoly,
     monomials_of_degree,
@@ -166,9 +169,10 @@ def test_integer_kernel_matches_the_fraction_kernel(case):
 @example({(1, 0): Fraction(-2, 3), (0, 1): Fraction(4, 5)}, 6, 1, None)
 def test_primitive_vector_is_the_reducer_of_the_monic_element(terms, k, sign, cut):
     """An integer vector over its content, signed so that its lead
-    coefficient is positive, is the reducer of its monic multiple
-    h.scale(1/c): also when the lead coefficient is negative and the
-    content above 1 (the example: -10*x + 12*y times 6)."""
+    coefficient is positive, is the reducer (e, L, tail) of its monic
+    multiple h.scale(1/c), with L the lcm of its denominators: also when
+    the lead coefficient is negative and the content above 1 (the example:
+    -10*x + 12*y times 6)."""
     vars = varset("x", "y")
     order = GrlexOrder(vars) if cut is None else LocalOrder(vars, cut=cut)
     h = CommPoly(vars, terms)
@@ -178,7 +182,7 @@ def test_primitive_vector_is_the_reducer_of_the_monic_element(terms, k, sign, cu
     L = lcm(*(v.denominator for v in monic.terms.values()))
     tail = [(t, v.numerator * (L // v.denominator))
             for t, v in monic.terms.items() if t != e]
-    assert _primitive(e, work) == _reducer(monic, e) == (e, L, tail)
+    assert _primitive(e, work) == (e, L, tail)
 
 
 @pytest.mark.parametrize("cuts", [st.none(), st.integers(2, 7)],
@@ -196,6 +200,54 @@ def test_integer_spoly_is_the_fraction_spoly_over_its_scale(cuts, data):
         spoly = CommPoly(gb.order.vars, {t: Fraction(c, scale) for t, c in work.items()})
         assert spoly == fraction_spoly(gb.basis[i], gb.leads[i],
                                        gb.basis[j], gb.leads[j], m)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(bases())
+def test_stored_reducers_are_the_primitive_ones_of_the_basis(gb):
+    """Each element is stored only as its reducer (e, L, tail): the
+    primitive vector of the monic element, with L > 0, which the ``basis``
+    view turns back into that element."""
+    assert len(gb.reducers) == len(gb.basis) == len(gb.leads)
+    for r, g, e in zip(gb.reducers, gb.basis, gb.leads):
+        _, L, tail = r
+        assert L > 0 and gcd(L, *(c for _, c in tail)) == 1
+        assert r == _primitive(e, _cleared(g)[0])
+        assert g.lead(gb.order) == (e, 1)
+
+
+@st.composite
+def divisions(draw):
+    """(f, g) over 2-3 variables with Fraction coefficients, g nonzero: f is
+    q*g plus, most of the time, a random remainder, so most pairs do not
+    divide."""
+    nvars = draw(st.integers(2, 3))
+    vars = varset(*"xyz"[:nvars])
+    coeff = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars), coeff, max_size=4)
+    g = CommPoly(vars, draw(polys.filter(bool)))
+    f = CommPoly(vars, draw(polys)) * g
+    if draw(st.integers(0, 3)):
+        f = f + CommPoly(vars, draw(polys))
+    return f, g
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(divisions())
+@example((CommPoly.zero(varset("x", "y")), CommPoly.variable(varset("x", "y"), "x")))
+@example((CommPoly(varset("x", "y"), {(2, 0): 1, (0, 1): 1}),
+          CommPoly.variable(varset("x", "y"), "x")))
+def test_divexact_matches_the_fraction_division(case):
+    """The quotient, or None, is the one of the Fraction division loop, and
+    multiplying back by g gives f: also for f = 0, and for x^2 + y over x,
+    whose lead x divides but whose remainder y stays."""
+    f, g = case
+    q = divexact(f, g)
+    assert q == fraction_divexact(f, g)
+    assert divexact(f * g, g) == f
+    if q is not None:
+        assert q * g == f
+        assert all(type(c) is Fraction for c in q.terms.values())
 
 
 def _cut_ideal(gens, vars, N):

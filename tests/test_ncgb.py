@@ -86,7 +86,7 @@ def test_presentation_rejects_constant_term():
 def test_find_division_central_and_position():
     g = genset(["t", "a", "b"], central=["t"])
     t, a, b = 0, 1, 2
-    rule = RewriteRule((t, a), NcPoly.zero(g), None, True, 0)
+    rule = RewriteRule(g, ((t, a), 1, []), None, True, 0)
     # lead t*a inside t*b*a*b: central t divides, nc part a at position 1
     hit = find_division(g, [rule], (t, b, a, b))
     assert hit is not None

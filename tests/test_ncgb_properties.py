@@ -13,12 +13,14 @@ kernel's heap key must order words as the rule key does, reversed.  The
 standard-word enumerator, which tests parents instead of searching, must
 list exactly the words below the cut that no lead divides, and call a cut
 closed exactly when every word in the band of degrees just past it is
-divisible.
+divisible.  Every rule's stored reducer must be the primitive one of its
+polynomial.
 """
 
 import functools
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -26,6 +28,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from ncdef import ncgb
+from ncdef.commpoly import _cleared, _primitive
 from ncdef.exprparse import presentation_parse
 from ncdef.freealg import NcOrder, NcPoly, canon_word, genset, word_mul
 from ncdef.ncgb import (
@@ -142,8 +145,8 @@ def divisor_cases(draw):
     w = draw(words(4, 8))
     if draw(st.booleans()):  # make sure some lead divides the word
         w = word_mul(gens, word_mul(gens, w, draw(st.sampled_from(leads))), draw(words(1, 2)))
-    zero = NcPoly.zero(gens)
-    return gens, [RewriteRule(lead, zero, None, True, k) for k, lead in enumerate(leads)], w
+    return gens, [RewriteRule(gens, (lead, 1, []), None, True, k)
+                  for k, lead in enumerate(leads)], w
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,6 +196,23 @@ FOLDED = {
     "non-unit": PRESENTATIONS["non-unit"],
     "laufer-1-sym": PRESENTATIONS["laufer-1-sym"],
 }
+
+
+@pytest.mark.parametrize("provenance", [True, False], ids=["prov", "noprov"])
+@pytest.mark.parametrize("trunc", [5, TRUNC])
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS.keys() | FOLDED.keys()))
+def test_stored_reducers_are_primitive(name, trunc, provenance):
+    """A rule keeps its polynomial only as its reducer (lead, L, R), retired
+    rules and re-reduced tails included: the primitive vector of the monic
+    rule, with L > 0 and gcd(L, R) = 1, which the views ``tail`` and
+    ``poly()`` turn back into lead - tail."""
+    p = PRESENTATIONS.get(name) or FOLDED[name]
+    gb = nc_complete(p, trunc, provenance)
+    for r in gb.rules:
+        lead, L, R = r.red
+        assert lead == r.lead and L > 0 and gcd(L, *(c for _, c in R)) == 1
+        assert r.red == _primitive(r.lead, _cleared(r.poly())[0])
+        assert r.poly() == NcPoly(gb.gens, {r.lead: 1}) - r.tail
 
 
 @st.composite
@@ -268,8 +288,8 @@ def lead_systems(draw):
     words = st.lists(st.integers(0, n - 1), min_size=1, max_size=4).map(
         lambda ls: canon_word(gens, ls))
     leads = draw(st.lists(words, max_size=5, unique=True))
-    zero = NcPoly.zero(gens)
-    rules = [RewriteRule(lead, zero, None, True, k) for k, lead in enumerate(leads)]
+    rules = [RewriteRule(gens, (lead, 1, []), None, True, k)
+             for k, lead in enumerate(leads)]
     return TruncatedGB(gens, order, draw(st.integers(2, 5)), rules)
 
 
